@@ -16,13 +16,9 @@ from .fitting import (
     synthetic_survey,
 )
 from .model import (
-    BOLTZMANN_CONSTANT,
     T_MAX,
     T_MIN,
-    EnergySpec,
     EntropyParams,
-    PerLevelEnergies,
-    PerSpotEnergies,
     level_availability_prob,
     level_energies,
     level_energy,
@@ -39,13 +35,11 @@ from .planner import (
     observe_floor,
     plan_parking,
     solve_dp,
-    tipp_decide,
     total_time,
 )
 from .simulator import (
     ArrivalOutcome,
     Garage,
-    GarageSnapshot,
     PolicyKind,
     render_ppm,
     render_text,

@@ -138,19 +138,6 @@ def build_config(args) -> ScenarioConfig:
     return ScenarioConfig(times=times, fit=fit, policies=_parse_policies(policies), **scalars)
 
 
-def build_fit_config(args) -> FitConfig:
-    data = _load_config_file(args.config).get("fit", {}) if getattr(args, "config", None) else {}
-    kw = dict(data)
-    for name in _FIT_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            kw[name] = flag
-    try:
-        return FitConfig(**kw)
-    except TypeError as exc:
-        raise ValueError(f"bad fit config: {exc}") from None
-
-
 def _run_policies(config: ScenarioConfig):
     """Run every requested policy on a freshly initialized garage.
 
@@ -245,9 +232,8 @@ def cmd_render(config: ScenarioConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
                                      config.temperature, config.seed)
-    snapshot = garage.snapshot()
-    (out / "garage.txt").write_text(render_text(snapshot))
-    (out / "garage.ppm").write_bytes(render_ppm(snapshot))
+    (out / "garage.txt").write_text(render_text(garage))
+    (out / "garage.ppm").write_bytes(render_ppm(garage))
     return EXIT_OK
 
 
@@ -329,12 +315,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(build_config(args), args.temperatures)
         if args.command == "fit":
-            return cmd_fit(args.survey, build_fit_config(args), args.out)
+            return cmd_fit(args.survey, build_config(args).fit, args.out)
         if args.command == "sample-curve":
-            seed = args.seed if args.seed is not None else 0
-            out = args.out if args.out is not None else "results"
-            return cmd_sample_curve(args.survey, args.sizes, args.trials, seed,
-                                    build_fit_config(args), out)
+            config = build_config(args)
+            return cmd_sample_curve(args.survey, args.sizes, args.trials, config.seed,
+                                    config.fit, config.output_dir)
         if args.command == "render":
             return cmd_render(build_config(args))
         raise ValueError(f"unknown command {args.command!r}")

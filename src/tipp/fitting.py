@@ -6,7 +6,7 @@ floor.  The lot temperature is fitted by minimising the mean squared
 error between the model occupancy q(E, T) and the observed fills, using
 gradient descent on the single parameter T with the analytic gradient
 
-    dq/dT = q * (1 - q/2) * E / (k_B * T**2)
+    dq/dT = q * (1 - q/2) * E / T**2
 
 (verified against central finite differences in the test suite).  The
 step size adapts by doubling/halving so the iterate only ever moves to
@@ -24,13 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    BOLTZMANN_CONSTANT,
-    T_MAX,
-    T_MIN,
-    EntropyParams,
-    spot_occupancy_prob,
-)
+from .model import T_MAX, T_MIN, EntropyParams, _q, spot_occupancy_prob
 
 #: Smallest step size tried before the line search gives up.
 _STEP_FLOOR = 1e-18
@@ -154,24 +148,25 @@ def _as_arrays(observations) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def mse_loss(temperature: float, observations, boltzmann_constant: float = BOLTZMANN_CONSTANT) -> float:
+def mse_loss(temperature: float, observations) -> float:
     """Mean squared error between model occupancy and observed fills."""
     energies, fills = _as_arrays(observations)
-    q = spot_occupancy_prob(energies, EntropyParams(temperature, boltzmann_constant))
+    q = spot_occupancy_prob(energies, EntropyParams(temperature))
     return float(np.mean((q - fills) ** 2))
 
 
-def _loss_and_grad(t, energies, fills, k):
-    q = 2.0 / (1.0 + np.exp(np.minimum(energies / (k * t), 700.0)))
+def _loss_and_grad(t, energies, fills):
+    # the kernel itself, not spot_occupancy_prob: each Observation already
+    # validated its energy, and this runs once per trial step
+    q = _q(energies / t)
     resid = q - fills
     loss = float(np.mean(resid**2))
-    dq = q * (1.0 - q / 2.0) * energies / (k * t * t)
+    dq = q * (1.0 - q / 2.0) * energies / (t * t)
     grad = float(np.mean(2.0 * resid * dq))
     return loss, grad
 
 
-def fit_temperature(observations, config: FitConfig | None = None,
-                    boltzmann_constant: float = BOLTZMANN_CONSTANT) -> FitResult:
+def fit_temperature(observations, config: FitConfig | None = None) -> FitResult:
     """Fit the temperature by clamped gradient descent on the MSE.
 
     Stops when |dL/dT| falls below the gradient tolerance, when the
@@ -183,12 +178,8 @@ def fit_temperature(observations, config: FitConfig | None = None,
     if config is None:
         config = FitConfig()
     energies, fills = _as_arrays(observations)
-    k = float(boltzmann_constant)
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError("boltzmann_constant must be positive and finite")
-
     t = float(config.initial_temperature)
-    loss, grad = _loss_and_grad(t, energies, fills, k)
+    loss, grad = _loss_and_grad(t, energies, fills)
     step = config.learning_rate
     iterations = 0
     while iterations < config.max_iterations:
@@ -207,7 +198,7 @@ def fit_temperature(observations, config: FitConfig | None = None,
             limit = 0.5 * t
             move = min(max(move, -limit), limit)
             cand = min(max(t - move, T_MIN), T_MAX)
-            cand_loss, cand_grad = _loss_and_grad(cand, energies, fills, k)
+            cand_loss, cand_grad = _loss_and_grad(cand, energies, fills)
             if cand != t and cand_loss < loss:
                 t, loss, grad = cand, cand_loss, cand_grad
                 step = min(step * 2.0, _STEP_CEIL)

@@ -4,15 +4,15 @@ The chance that an individual spot is taken is modelled with one free
 parameter, the lot *temperature* ``T``, together with a desirability
 scalar ``E`` (the spot's *energy*, low energy = attractive spot):
 
-    q(E, T) = 2 / (1 + exp(E / (k_B * T)))
+    q(E, T) = 2 / (1 + exp(E / T))
 
 The leading factor of 2 normalises the curve so that a zero-energy spot
 is occupied with certainty, ``q(0, T) = 1``, and every positive-energy
 spot has ``q`` strictly inside ``(0, 1)``.  For fixed ``T`` the
 occupancy falls off monotonically with energy; for fixed ``E > 0`` it
 rises monotonically with temperature, so hotter lots are fuller lots.
-``k_B`` is a fixed scale constant (1 by convention); only the ratio
-``E / (k_B * T)`` ever matters.
+A Boltzmann-style scale constant would only rescale ``T``, so there is
+none: the exponent is ``E / T``.
 
 Floor energies in an ``N``-level garage are ``E(i) = (i / N)**2`` with
 floor 1 closest to the entrance, so the deepest floor always has energy
@@ -29,23 +29,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import expit
 
 #: Clamp domain for the temperature parameter.
 T_MIN = 1e-3
 T_MAX = 10.0
 
-#: Fixed scale constant in the occupancy exponent; redundant with the
-#: temperature (only E / (k_B * T) appears) and kept at 1 by convention.
-BOLTZMANN_CONSTANT = 1.0
-
 
 @dataclass(frozen=True)
 class EntropyParams:
-    """Parameters of the occupancy model: temperature plus the fixed scale constant."""
+    """Parameters of the occupancy model: the lot temperature."""
 
     temperature: float
-    boltzmann_constant: float = BOLTZMANN_CONSTANT
 
     def __post_init__(self):
         if not math.isfinite(self.temperature):
@@ -54,66 +48,27 @@ class EntropyParams:
             raise ValueError(
                 f"temperature {self.temperature} outside domain [{T_MIN}, {T_MAX}]"
             )
-        if not (math.isfinite(self.boltzmann_constant) and self.boltzmann_constant > 0):
-            raise ValueError("boltzmann_constant must be a positive finite number")
 
 
-@dataclass(frozen=True)
-class PerLevelEnergies:
-    """Energy assignment E(i) = (i/N)**2 for the floors of an N-level garage."""
-
-    num_levels: int
-
-    def __post_init__(self):
-        if self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
-
-    def energies(self) -> np.ndarray:
-        return level_energies(self.num_levels)
-
-
-@dataclass(frozen=True)
-class PerSpotEnergies:
-    """Energy assignment from per-spot normalized distances (energies are the squares).
-
-    Distances must lie in [0, 1] and at least one must equal 1 exactly,
-    i.e. they are normalized by the maximum spot distance.
-    """
-
-    normalized_distances: tuple
-
-    def __post_init__(self):
-        dists = tuple(float(d) for d in self.normalized_distances)
-        object.__setattr__(self, "normalized_distances", dists)
-        if not dists:
-            raise ValueError("normalized_distances must be non-empty")
-        if any(not (0.0 <= d <= 1.0) for d in dists):
-            raise ValueError("normalized distances must lie in [0, 1]")
-        if max(dists) != 1.0:
-            raise ValueError("at least one normalized distance must equal 1")
-
-    def energies(self) -> np.ndarray:
-        return np.asarray(self.normalized_distances, dtype=float) ** 2
-
-
-#: Either per-level garage energies or per-spot survey energies.
-EnergySpec = PerLevelEnergies | PerSpotEnergies
+def _q(x):
+    """q as a function of x = E / T.  Capping x at 700 keeps exp finite;
+    q there is ~2e-304, below anything a fill count or loss can resolve."""
+    return 2.0 / (1.0 + np.exp(np.minimum(x, 700.0)))
 
 
 def spot_occupancy_prob(energy, params: EntropyParams):
     """Probability q(E, T) that a spot with the given energy is occupied.
 
     ``energy`` may be a scalar or an array; the return type matches.
-    q(0, T) = 1 exactly, q is strictly decreasing in energy and, for
-    E > 0, strictly increasing in temperature.
+    q(0, T) = 1 exactly; while E/T < 700, q is strictly decreasing in
+    energy and, for E > 0, strictly increasing in temperature.
     """
     e = np.asarray(energy, dtype=float)
     if not np.all(np.isfinite(e)):
         raise ValueError("energy must be finite")
     if np.any(e < 0):
         raise ValueError("energy must be non-negative")
-    x = e / (params.boltzmann_constant * params.temperature)
-    q = 2.0 * expit(-x)
+    q = _q(e / params.temperature)
     if np.ndim(energy) == 0:
         return float(q)
     return q

@@ -128,14 +128,19 @@ def solve_dp(availability, times: TimeConstants) -> DpSolution:
                       entrance_value=float(entrance_costs[k]))
 
 
-def total_time(num_scans: int, parked_floor: int, times: TimeConstants) -> float:
-    """Total time for a descent that scanned ``num_scans`` floors and
-    parked on ``parked_floor``: n*t1 + a*(t2 + t3)."""
-    if num_scans < 1:
-        raise ValueError("num_scans must be >= 1")
-    if parked_floor < 1:
-        raise ValueError("parked_floor must be >= 1")
-    return num_scans * times.t1 + parked_floor * (times.t2 + times.t3)
+def total_time(floors, times: TimeConstants) -> float:
+    """Time of an itinerary from the entrance (floor 0) that parks on its
+    last floor: t1 per floor scanned, t3 per floor driven in either
+    direction, t2 per floor walked back up.  On a descent this is
+    n*t1 + a*(t2 + t3)."""
+    if not floors or min(floors) < 1:
+        raise ValueError("an itinerary is a non-empty sequence of floors >= 1")
+    driven = 0
+    here = 0
+    for floor in floors:
+        driven += abs(floor - here)
+        here = floor
+    return len(floors) * times.t1 + driven * times.t3 + here * times.t2
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,3 @@ def plan_parking(state: TippState, shape: GarageShape, times: TimeConstants,
         availability=availability,
         solution=solution,
     )
-
-
-def tipp_decide(state: TippState, shape: GarageShape, times: TimeConstants,
-                fit_config: FitConfig | None = None) -> int:
-    """The floor to drive to next under the closed-loop policy."""
-    return plan_parking(state, shape, times, fit_config).next_floor

@@ -12,10 +12,11 @@ run under one of four policies:
 * tipp:      closed loop; re-estimate the temperature from observed
              floor fills, re-solve the descent program, drive to u(i).
 
-Descending itineraries are timed by n*t1 + a*(t2 + t3).  The inverse
-policy also drives upward, so it is timed by the generalized accounting
-t1 per scan + t3 per floor actually driven (in either direction) + t2
-per walk-up floor, which reduces to the same law on descents.
+A policy only supplies the floors to try, in order; the car scans them
+until one has a free spot.  Every itinerary is timed by one law
+(:func:`tipp.planner.total_time`): t1 per scan, t3 per floor driven in
+either direction, t2 per floor walked back up from the parked floor.
+On a descent this is n*t1 + a*(t2 + t3).
 """
 
 from dataclasses import dataclass, replace
@@ -44,18 +45,6 @@ class PolicyKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class GarageSnapshot:
-    """Read-only view: occupancy grid copy plus per-level occupied counts."""
-
-    occupancy: np.ndarray
-    per_level_counts: tuple
-
-    @property
-    def total_occupied(self) -> int:
-        return sum(self.per_level_counts)
-
-
-@dataclass(frozen=True)
 class ArrivalOutcome:
     """One car's journey: floors visited, where it parked, elapsed seconds."""
 
@@ -75,7 +64,6 @@ class Garage:
             raise ValueError("garage dimensions must be >= 1")
         self.num_levels = int(num_levels)
         self.capacity_per_level = int(capacity_per_level)
-        self.seed = int(seed)
         self.occupancy = np.zeros((num_levels, capacity_per_level), dtype=bool)
         self.rng = np.random.default_rng(seed)
         self.init_temperature: float | None = None
@@ -120,9 +108,6 @@ class Garage:
     def level_fill_fraction(self, floor: int) -> float:
         return self.level_occupied_count(floor) / self.capacity_per_level
 
-    def free_spot_count(self) -> int:
-        return int((~self.occupancy).sum())
-
     def lowest_free_floor(self) -> int | None:
         """Shallowest floor with a free spot, or None if the garage is full."""
         free_per_level = self.capacity_per_level - self.occupancy.sum(axis=1)
@@ -154,10 +139,6 @@ class Garage:
         self.occupancy[vacate] = False
         return int(vacate.sum())
 
-    def snapshot(self) -> GarageSnapshot:
-        counts = tuple(int(c) for c in self.occupancy.sum(axis=1))
-        return GarageSnapshot(self.occupancy.copy(), counts)
-
     def _check_floor(self, floor: int) -> None:
         if not 1 <= floor <= self.num_levels:
             raise ValueError(f"floor {floor} outside [1, {self.num_levels}]")
@@ -177,59 +158,54 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
         times = TimeConstants()
     policy = PolicyKind(policy)
     n = garage.num_levels
-
+    memory = None
     if policy is PolicyKind.BENCHMARK:
-        scanned = []
-        for floor in range(1, n + 1):
-            scanned.append(floor)
-            spot = garage.scan_and_park(floor)
-            if spot is not None:
-                elapsed = total_time(len(scanned), floor, times)
-                return ArrivalOutcome(car_index, tuple(scanned), floor, spot, elapsed), None
-        raise GarageExhaustedError("garage exhausted: benchmark sweep found no spot")
-
-    if policy is PolicyKind.INVERSE:
-        scanned = []
-        for floor in range(n, 0, -1):
-            scanned.append(floor)
-            spot = garage.scan_and_park(floor)
-            if spot is not None:
-                # n floors down, then one up per failed floor; drive is
-                # charged per transition regardless of direction.
-                driven = n + (n - floor)
-                elapsed = len(scanned) * times.t1 + driven * times.t3 + floor * times.t2
-                return ArrivalOutcome(car_index, tuple(scanned), floor, spot, elapsed), None
-        raise GarageExhaustedError("garage exhausted: inverse sweep found no spot")
-
-    if policy is PolicyKind.OPTIMAL:
+        floors = range(1, n + 1)
+    elif policy is PolicyKind.INVERSE:
+        floors = range(n, 0, -1)
+    elif policy is PolicyKind.OPTIMAL:
         floor = garage.lowest_free_floor()
-        if floor is None:
-            raise GarageExhaustedError("garage exhausted: no free spot anywhere")
-        spot = garage.scan_and_park(floor)
-        elapsed = total_time(1, floor, times)
-        return ArrivalOutcome(car_index, (floor,), floor, spot, elapsed), None
+        floors = () if floor is None else (floor,)
+    else:
+        if tipp_state is None:
+            tipp_state = TippState(temperature_estimate=garage.init_temperature
+                                   if garage.init_temperature is not None else 0.5)
+        memory = [tipp_state]
+        floors = _tipp_floors(garage, times, fit_config, memory)
 
-    # TIPP: re-plan from the entrance, observing each visited floor's
-    # fill before parking on it so the decision's evidence stays clean;
-    # after the park the floor is observed again, so the memory handed to
-    # the next car holds the fill the park left behind.
-    state = tipp_state if tipp_state is not None else TippState(
-        temperature_estimate=garage.init_temperature if garage.init_temperature is not None else 0.5
-    )
-    state = replace(state, current_floor=0)
     scanned = []
-    while True:
-        plan = plan_parking(state, garage.shape, times, fit_config)
-        state = replace(state, temperature_estimate=plan.temperature)
-        floor = plan.next_floor
-        state = observe_floor(state, floor, garage.level_fill_fraction(floor))
+    for floor in floors:
         scanned.append(floor)
         spot = garage.scan_and_park(floor)
         if spot is not None:
-            elapsed = total_time(len(scanned), floor, times)
+            elapsed = total_time(scanned, times)
+            if memory is None:
+                return ArrivalOutcome(car_index, tuple(scanned), floor, spot, elapsed), None
+            state = memory[0]
             outcome = ArrivalOutcome(car_index, tuple(scanned), floor, spot, elapsed,
                                      temperature_estimate_after=state.temperature_estimate)
+            # the next car's memory holds the fill this park left behind
             return outcome, observe_floor(state, floor, garage.level_fill_fraction(floor))
+    raise GarageExhaustedError(
+        f"garage exhausted: {policy.value} car {car_index} found no spot")
+
+
+def _tipp_floors(garage: Garage, times: TimeConstants, fit_config: FitConfig | None,
+                 memory: list):
+    """Yield the closed loop's floors, re-planning from each full one.
+
+    Each floor's fill is observed before the car scans it, so a car's own
+    parking never feeds the decision that led to it; ``memory[0]`` holds
+    the state after the latest plan and observation.
+    """
+    state = replace(memory[0], current_floor=0)
+    while state.current_floor < garage.num_levels:
+        plan = plan_parking(state, garage.shape, times, fit_config)
+        floor = plan.next_floor
+        state = observe_floor(replace(state, temperature_estimate=plan.temperature),
+                              floor, garage.level_fill_fraction(floor))
+        memory[0] = state
+        yield floor
         state = replace(state, current_floor=floor)
 
 
@@ -249,43 +225,36 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     if num_cars < 1:
         raise ValueError("num_cars must be >= 1")
     policy = PolicyKind(policy)
-    state = None
-    if policy is PolicyKind.TIPP:
-        prior = prior_temperature
-        if prior is None:
-            prior = garage.init_temperature if garage.init_temperature is not None else 0.5
-        state = TippState(temperature_estimate=prior)
+    state = None  # run_arrival starts the tipp memory from the garage's temperature
+    if policy is PolicyKind.TIPP and prior_temperature is not None:
+        state = TippState(temperature_estimate=prior_temperature)
     outcomes = []
     for car in range(num_cars):
         try:
-            outcome, new_state = run_arrival(garage, policy, times, fit_config,
-                                             tipp_state=state, car_index=car)
+            outcome, state = run_arrival(garage, policy, times, fit_config,
+                                         tipp_state=state, car_index=car)
         except GarageExhaustedError:
             break
-        if new_state is not None:
-            state = new_state
         outcomes.append(outcome)
         if departure_prob > 0.0:
             garage.renewal_step(departure_prob)
     return outcomes
 
 
-def render_text(garage_or_snapshot) -> str:
+def render_text(garage: Garage) -> str:
     """Plain-text occupancy grid: one row per level, '#' occupied, '.' free."""
-    snap = _as_snapshot(garage_or_snapshot)
-    rows = ["".join("#" if cell else "." for cell in level) for level in snap.occupancy]
+    rows = ["".join("#" if cell else "." for cell in level) for level in garage.occupancy]
     return "\n".join(rows) + "\n"
 
 
-def render_ppm(garage_or_snapshot, pixel_size: int = 8) -> bytes:
+def render_ppm(garage: Garage, pixel_size: int = 8) -> bytes:
     """Portable pixmap (P3) of the grid: red = occupied, white = free."""
     if pixel_size < 1:
         raise ValueError("pixel_size must be >= 1")
-    snap = _as_snapshot(garage_or_snapshot)
-    levels, spots = snap.occupancy.shape
+    levels, spots = garage.occupancy.shape
     width, height = spots * pixel_size, levels * pixel_size
     lines = [f"P3 {width} {height} 255"]
-    for level in snap.occupancy:
+    for level in garage.occupancy:
         row = " ".join("255 0 0" if cell else "255 255 255"
                        for cell in level for _ in range(pixel_size))
         lines.extend([row] * pixel_size)
@@ -308,9 +277,3 @@ def write_outcomes_csv(path, policy: PolicyKind, outcomes) -> None:
                     else f"{outcome.temperature_estimate_after:.6f}")
             fh.write(f"{outcome.car_index},{policy.value},{floors},{parked},{spot},"
                      f"{outcome.elapsed_time:.6f},{cumulative:.6f},{temp}\n")
-
-
-def _as_snapshot(garage_or_snapshot) -> GarageSnapshot:
-    if isinstance(garage_or_snapshot, Garage):
-        return garage_or_snapshot.snapshot()
-    return garage_or_snapshot

@@ -223,8 +223,8 @@ def test_criterion_8_time_law_equals_segment_accounting():
         floors = sorted(rng.choice(np.arange(1, 31), size=n, replace=False).tolist())
         t1, t2, t3 = (float(v) for v in rng.integers(1, 121, 3))
         times = TimeConstants(t1=t1, t2=t2, t3=t3)
-        direct = total_time(len(floors), floors[-1], times)
-        ok &= direct == segment_accounting(floors, t1, t2, t3)
+        closed_form = n * t1 + floors[-1] * (t2 + t3)
+        ok &= total_time(floors, times) == closed_form == segment_accounting(floors, t1, t2, t3)
     report(8, "time law equals per-segment accounting on 1,000 itineraries", ok,
            "exact equality")
     assert ok

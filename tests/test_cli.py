@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tipp
 from tipp import LotSurvey, save_survey, synthetic_survey
 from tipp.cli import main
 
@@ -95,6 +99,16 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_fit_reads_fit_fields_and_writes_nothing_without_out(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_survey(synthetic_survey(105, 0.5, seed=42), "lot.csv")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit": {"max_iterations": 1}}))
+        assert main(["fit", "lot.csv", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lot.csv"]
 
 
 class TestSweep:
@@ -200,3 +214,12 @@ class TestRender:
         main(["render", "--out", str(out_b), "--seed", "5"])
         assert (out_a / "garage.txt").read_bytes() == (out_b / "garage.txt").read_bytes()
         assert (out_a / "garage.ppm").read_bytes() == (out_b / "garage.ppm").read_bytes()
+
+
+def test_cli_imports_numpy_but_not_scipy():
+    src = str(Path(tipp.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import tipp.cli; "
+            "print('numpy' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.split() == ["True", "False"]

@@ -105,7 +105,7 @@ class TestGradient:
             obs = [Observation(float(e), float(f)) for e, f in zip(energies, fills)]
             t = float(rng.uniform(0.05, 8.0))
             _, grad = _loss_and_grad(t, energies[np.argsort(energies)],
-                                     fills[np.argsort(energies)], 1.0)
+                                     fills[np.argsort(energies)])
             numeric = central_difference(lambda x: mse_loss(x, obs), t, 1e-6 * t)
             assert grad == pytest.approx(numeric, rel=1e-5, abs=1e-10)
 

@@ -17,7 +17,6 @@ from tipp import (
     plan_parking,
     solve_dp,
     spot_occupancy_prob,
-    tipp_decide,
     total_time,
 )
 
@@ -123,16 +122,16 @@ class TestSolveDp:
 
 class TestTotalTime:
     def test_single_scan_best_case(self):
-        assert total_time(1, 1, TIMES) == 45.0
+        assert total_time([1], TIMES) == 45.0
 
     def test_direct_substitution(self):
-        assert total_time(3, 7, TIMES) == 195.0
+        assert total_time([2, 5, 7], TIMES) == 195.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            total_time(0, 1, TIMES)
+            total_time([], TIMES)
         with pytest.raises(ValueError):
-            total_time(1, 0, TIMES)
+            total_time([0], TIMES)
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12, unique=True),
            st.integers(min_value=1, max_value=120),
@@ -142,7 +141,7 @@ class TestTotalTime:
     def test_equals_segment_accounting_exactly(self, floors, t1, t2, t3):
         itinerary = sorted(floors)
         times = TimeConstants(t1=float(t1), t2=float(t2), t3=float(t3))
-        direct = total_time(len(itinerary), itinerary[-1], times)
+        direct = total_time(itinerary, times)
         assert direct == segment_accounting(itinerary, float(t1), float(t2), float(t3))
 
 
@@ -202,7 +201,7 @@ class TestTippDecide:
         state = TippState(temperature_estimate=0.5)
         p = self._availability(0.5)
         _, oracle_itinerary = enumerate_best_itinerary(p, TIMES.t1, TIMES.t2, TIMES.t3)
-        assert tipp_decide(state, self.SHAPE, TIMES) == oracle_itinerary[0]
+        assert plan_parking(state, self.SHAPE, TIMES).next_floor == oracle_itinerary[0]
 
     def test_plan_reports_prior_when_no_observations(self):
         plan = plan_parking(TippState(temperature_estimate=0.7), self.SHAPE, TIMES)
@@ -222,18 +221,18 @@ class TestTippDecide:
         for floor in (1, 4, 9):
             state = TippState(current_floor=floor, temperature_estimate=0.5,
                               floor_observations={floor: 1.0})
-            assert tipp_decide(state, self.SHAPE, TIMES) > floor
+            assert plan_parking(state, self.SHAPE, TIMES).next_floor > floor
 
     def test_exhausted_at_bottom(self):
         state = TippState(current_floor=10, temperature_estimate=0.5)
         with pytest.raises(GarageExhaustedError):
-            tipp_decide(state, self.SHAPE, TIMES)
+            plan_parking(state, self.SHAPE, TIMES)
 
     def test_deterministic(self):
         state = TippState(temperature_estimate=0.5,
                           floor_observations={2: 1.0, 6: 0.5})
-        a = tipp_decide(state, self.SHAPE, TIMES)
-        b = tipp_decide(state, self.SHAPE, TIMES)
+        a = plan_parking(state, self.SHAPE, TIMES).next_floor
+        b = plan_parking(state, self.SHAPE, TIMES).next_floor
         assert a == b
 
     def test_refit_warm_starts_from_the_estimate(self):

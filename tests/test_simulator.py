@@ -28,6 +28,11 @@ COUNTS_T01 = (29, 24, 17, 10, 5, 2, 0, 0, 0, 0)
 COUNTS_T10 = (30, 29, 29, 28, 26, 25, 23, 21, 18, 16)
 
 
+def level_counts(garage):
+    """Occupied spots per level, floor 1 first."""
+    return tuple(garage.level_occupied_count(f) for f in range(1, garage.num_levels + 1))
+
+
 def single_free_spot_garage(floor, spot=0, n=10, s=30):
     occ = np.ones((n, s), dtype=bool)
     occ[floor - 1, spot] = False
@@ -40,17 +45,17 @@ class TestInitFromTemperature:
     ])
     def test_per_level_counts(self, temp, counts):
         garage = Garage.from_temperature(10, 30, temp, seed=0)
-        assert garage.snapshot().per_level_counts == counts
+        assert level_counts(garage) == counts
 
     def test_counts_come_from_the_model(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=5)
         q = spot_occupancy_prob(level_energies(10), EntropyParams(0.5))
         expected = tuple(level_fill_count(float(qi), 30) for qi in q)
-        assert garage.snapshot().per_level_counts == expected
+        assert level_counts(garage) == expected
 
     def test_near_minimum_temperature_is_nearly_empty(self):
         garage = Garage.from_temperature(10, 30, 1e-3, seed=0)
-        counts = garage.snapshot().per_level_counts
+        counts = level_counts(garage)
         assert sum(counts[1:]) == 0  # every floor with E above the first
 
     def test_deterministic_given_seed(self):
@@ -62,7 +67,7 @@ class TestInitFromTemperature:
         a = Garage.from_temperature(10, 30, 0.5, seed=1)
         b = Garage.from_temperature(10, 30, 0.5, seed=2)
         assert not np.array_equal(a.occupancy, b.occupancy)
-        assert a.snapshot().per_level_counts == b.snapshot().per_level_counts
+        assert level_counts(a) == level_counts(b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -108,9 +113,9 @@ class TestRenewal:
 
     def test_everyone_leaves_at_probability_one(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        occupied = garage.snapshot().total_occupied
+        occupied = sum(level_counts(garage))
         assert garage.renewal_step(1.0) == occupied
-        assert garage.snapshot().total_occupied == 0
+        assert sum(level_counts(garage)) == 0
 
     def test_mean_departures_match_expectation(self):
         # 200 occupied spots, 250 independent runs, 3-sigma band
@@ -132,21 +137,7 @@ class TestRenewal:
 class TestSnapshot:
     def test_counts_sum_to_total(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        snap = garage.snapshot()
-        assert sum(snap.per_level_counts) == snap.occupancy.sum() == 200
-
-    def test_snapshot_is_isolated_from_later_mutation(self):
-        garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        snap = garage.snapshot()
-        garage.scan_and_park(10)
-        assert snap.total_occupied == 200
-        assert garage.snapshot().total_occupied == 201
-
-    def test_repeated_snapshots_identical(self):
-        garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        a, b = garage.snapshot(), garage.snapshot()
-        assert a.per_level_counts == b.per_level_counts
-        np.testing.assert_array_equal(a.occupancy, b.occupancy)
+        assert sum(level_counts(garage)) == garage.occupancy.sum() == 200
 
 
 class TestRunArrival:
@@ -188,7 +179,7 @@ class TestRunArrival:
         outcome, state = run_arrival(garage, PolicyKind.TIPP, TIMES)
         floors = outcome.floors_scanned
         assert all(a < b for a, b in zip(floors, floors[1:]))
-        assert outcome.elapsed_time == total_time(len(floors), outcome.parked_floor, TIMES)
+        assert outcome.elapsed_time == total_time(floors, TIMES)
         assert outcome.temperature_estimate_after is not None
         assert state.floor_observations  # the visited floor was recorded
 
@@ -221,9 +212,10 @@ class TestRunArrival:
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_exhausted_garage_raises(self, policy):
         garage = Garage.from_occupancy(np.ones((3, 4), dtype=bool))
-        with pytest.raises(GarageExhaustedError):
+        with pytest.raises(GarageExhaustedError,
+                           match=f"garage exhausted: {policy.value} car 7 found no spot"):
             run_arrival(garage, policy, TIMES,
-                        tipp_state=TippState(temperature_estimate=0.5))
+                        tipp_state=TippState(temperature_estimate=0.5), car_index=7)
 
     def test_descending_policies_report_strictly_increasing_floors(self):
         for policy in (PolicyKind.BENCHMARK, PolicyKind.OPTIMAL, PolicyKind.TIPP):
@@ -236,9 +228,9 @@ class TestRunArrival:
 class TestRunPolicySequence:
     def test_conservation_one_spot_per_car(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        start = garage.snapshot().total_occupied
+        start = sum(level_counts(garage))
         outcomes = run_policy_sequence(garage, PolicyKind.BENCHMARK, 12, TIMES)
-        assert garage.snapshot().total_occupied == start + len(outcomes) == start + 12
+        assert sum(level_counts(garage)) == start + len(outcomes) == start + 12
 
     def test_stops_early_when_exhausted(self):
         occ = np.ones((2, 2), dtype=bool)
