@@ -17,15 +17,15 @@ from tipp import (
 TRUE_TEMPERATURE = 0.5
 
 survey = synthetic_survey(105, TRUE_TEMPERATURE, seed=42)
-observations = survey_to_observations(survey)
-occupied = sum(o.fill_fraction for o in observations)
+energies, fills = survey_to_observations(survey)
+occupied = fills.sum()
 print(f"Synthetic lot: 105 spots, {occupied:.0f} occupied, "
       f"generated at T* = {TRUE_TEMPERATURE}")
 
-result = fit_temperature(observations)
+result = fit_temperature(energies, fills)
 print(f"Full-data fit: T = {result.temperature:.4f} "
       f"(loss {result.final_loss:.4f}, {result.iterations} iterations)")
-print(f"MSE at the fitted temperature: {mse_loss(result.temperature, observations):.4f}")
+print(f"MSE at the fitted temperature: {mse_loss(result.temperature, energies, fills):.4f}")
 print("The residual MSE is the Bernoulli noise floor, not model error.\n")
 
 print("Sample efficiency: fit on k random spots, score on the whole lot")

@@ -5,7 +5,6 @@ from .fitting import (
     FitDivergedError,
     FitResult,
     LotSurvey,
-    Observation,
     SampleEfficiencyPoint,
     fit_temperature,
     load_survey,

@@ -195,13 +195,13 @@ def cmd_sweep(config: ScenarioConfig, temperatures) -> int:
 
 def cmd_fit(survey_path, fit_config: FitConfig, out_dir=None) -> int:
     survey = load_survey(survey_path)
-    observations = survey_to_observations(survey)
-    result = fit_temperature(observations, fit_config)
+    energies, fills = survey_to_observations(survey)
+    result = fit_temperature(energies, fills, fit_config)
     report = {
         "temperature": result.temperature,
         "final_loss": result.final_loss,
         "iterations": result.iterations,
-        "n_observations": len(observations),
+        "n_observations": len(energies),
         "clamped": result.clamped,
     }
     text = json.dumps(report, indent=2, sort_keys=True)

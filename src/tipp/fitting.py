@@ -1,10 +1,12 @@
 """Temperature estimation from occupancy observations.
 
-An observation pairs a spot (or floor) energy with the occupancy seen
-there: 1/0 for a single surveyed spot, or occupied/capacity for a whole
-floor.  The lot temperature is fitted by minimising the mean squared
-error between the model occupancy q(E, T) and the observed fills, using
-gradient descent on the single parameter T with the analytic gradient
+Observations are two equal-length float arrays, ``energies`` and
+``fills``: entry i pairs a spot (or floor) energy with the occupancy
+seen there, 1/0 for a single surveyed spot or occupied/capacity for a
+whole floor.  The lot temperature is fitted by minimising the mean
+squared error between the model occupancy q(E, T) and the observed
+fills, using gradient descent on the single parameter T with the
+analytic gradient
 
     dq/dT = q * (1 - q/2) * E / T**2
 
@@ -37,20 +39,6 @@ class FitDivergedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One (energy, observed fill fraction) pair."""
-
-    energy: float
-    fill_fraction: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.energy) and self.energy >= 0):
-            raise ValueError("energy must be finite and non-negative")
-        if not (math.isfinite(self.fill_fraction) and 0.0 <= self.fill_fraction <= 1.0):
-            raise ValueError("fill_fraction must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of the 1-D gradient-descent fit."""
 
@@ -60,12 +48,12 @@ class FitConfig:
     initial_temperature: float = 0.5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
+            raise ValueError("gradient_tolerance must be positive and finite")
         if not T_MIN <= self.initial_temperature <= T_MAX:
             raise ValueError(
                 f"initial_temperature must lie in [{T_MIN}, {T_MAX}]"
@@ -120,8 +108,8 @@ class SampleEfficiencyPoint:
     std_mse: float
 
 
-def survey_to_observations(survey: LotSurvey) -> list[Observation]:
-    """Reduce a survey to (energy, fill) observations.
+def survey_to_observations(survey: LotSurvey) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce a survey to ``(energies, fills)`` observation arrays.
 
     Energy is the squared spot-to-POI distance normalized by the maximum
     distance in the lot, so energies span (0, 1] with the farthest spot
@@ -132,32 +120,38 @@ def survey_to_observations(survey: LotSurvey) -> list[Observation]:
     max_dist = float(dist.max())
     if max_dist == 0.0:
         raise ValueError("degenerate geometry: all spots coincide with the point of interest")
-    energies = (dist / max_dist) ** 2
-    return [
-        Observation(float(e), 1.0 if occ else 0.0)
-        for e, occ in zip(energies, survey.occupied)
-    ]
+    return (dist / max_dist) ** 2, survey.occupied.astype(float)
 
 
-def _as_arrays(observations) -> tuple[np.ndarray, np.ndarray]:
-    # Sorting makes the loss (a mean) exactly invariant to input order.
-    if not observations:
+def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
+    """Validate observation arrays and sort them by (energy, fill).
+
+    Sorting makes the loss (a mean) exactly invariant to input order.
+    """
+    e = np.asarray(energies, dtype=float)
+    f = np.asarray(fills, dtype=float)
+    if e.ndim != 1 or e.shape != f.shape:
+        raise ValueError("energies and fills must be 1-D arrays of equal length")
+    if e.size == 0:
         raise ValueError("observations must be non-empty")
-    pairs = sorted((o.energy, o.fill_fraction) for o in observations)
-    arr = np.asarray(pairs, dtype=float)
-    return arr[:, 0], arr[:, 1]
+    if not np.all(np.isfinite(e) & (e >= 0)):
+        raise ValueError("energies must be finite and non-negative")
+    if not np.all((f >= 0) & (f <= 1)):
+        raise ValueError("fills must lie in [0, 1]")
+    order = np.lexsort((f, e))
+    return e[order], f[order]
 
 
-def mse_loss(temperature: float, observations) -> float:
+def mse_loss(temperature: float, energies, fills) -> float:
     """Mean squared error between model occupancy and observed fills."""
-    energies, fills = _as_arrays(observations)
+    energies, fills = _sorted_observations(energies, fills)
     q = spot_occupancy_prob(energies, EntropyParams(temperature))
     return float(np.mean((q - fills) ** 2))
 
 
 def _loss_and_grad(t, energies, fills):
-    # the kernel itself, not spot_occupancy_prob: each Observation already
-    # validated its energy, and this runs once per trial step
+    # the kernel itself, not spot_occupancy_prob: _sorted_observations
+    # already validated the energies, and this runs once per trial step
     q = _q(energies / t)
     resid = q - fills
     loss = float(np.mean(resid**2))
@@ -166,7 +160,7 @@ def _loss_and_grad(t, energies, fills):
     return loss, grad
 
 
-def fit_temperature(observations, config: FitConfig | None = None) -> FitResult:
+def fit_temperature(energies, fills, config: FitConfig | None = None) -> FitResult:
     """Fit the temperature by clamped gradient descent on the MSE.
 
     Stops when |dL/dT| falls below the gradient tolerance, when the
@@ -177,7 +171,7 @@ def fit_temperature(observations, config: FitConfig | None = None) -> FitResult:
     """
     if config is None:
         config = FitConfig()
-    energies, fills = _as_arrays(observations)
+    energies, fills = _sorted_observations(energies, fills)
     t = float(config.initial_temperature)
     loss, grad = _loss_and_grad(t, energies, fills)
     step = config.learning_rate
@@ -223,8 +217,8 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
     """
     if trials_per_size < 1:
         raise ValueError("trials_per_size must be >= 1")
-    full = survey_to_observations(survey)
-    n = len(full)
+    energies, fills = survey_to_observations(survey)
+    n = len(energies)
     sizes = [int(s) for s in sample_sizes]
     for s in sizes:
         if not 1 <= s <= n:
@@ -235,8 +229,8 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
         for trial in range(trials_per_size):
             rng = np.random.default_rng([seed, size, trial])
             idx = rng.choice(n, size=size, replace=False)
-            fit = fit_temperature([full[i] for i in idx], config)
-            losses[trial] = mse_loss(fit.temperature, full)
+            fit = fit_temperature(energies[idx], fills[idx], config)
+            losses[trial] = mse_loss(fit.temperature, energies, fills)
         points.append(
             SampleEfficiencyPoint(size, float(losses.mean()), float(losses.std()))
         )

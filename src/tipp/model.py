@@ -116,7 +116,7 @@ def level_availability_prob(q, capacity: int):
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     qa = np.asarray(q, dtype=float)
-    if np.any(qa < 0) or np.any(qa > 1):
+    if not np.all((qa >= 0) & (qa <= 1)):
         raise ValueError("q must lie in [0, 1]")
     p = 1.0 - np.power(qa, capacity)
     if np.ndim(q) == 0:

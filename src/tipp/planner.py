@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fitting import FitConfig, Observation, fit_temperature
+from .fitting import FitConfig, fit_temperature
 from .model import (
     T_MAX,
     T_MIN,
@@ -206,12 +206,12 @@ def plan_parking(state: TippState, shape: GarageShape, times: TimeConstants,
         fit_config = FitConfig()
     temperature = state.temperature_estimate
     if state.floor_observations:
-        observations = [
-            Observation(level_energy(floor, n), fill)
-            for floor, fill in sorted(state.floor_observations.items())
-        ]
+        # level_energy, not level_energies(n)[f - 1]: the two round (f/n)**2
+        # 1 ulp apart for some f and n (first at n = 41), which moves fits
+        energies = [level_energy(floor, n) for floor in state.floor_observations]
+        fills = list(state.floor_observations.values())
         warm = replace(fit_config, initial_temperature=temperature)
-        temperature = fit_temperature(observations, warm).temperature
+        temperature = fit_temperature(energies, fills, warm).temperature
     q = spot_occupancy_prob(level_energies(n), EntropyParams(temperature))
     availability = level_availability_prob(q, shape.capacity_per_level)
     solution = solve_dp(availability, times)

@@ -23,10 +23,10 @@ def mse_reference(temperature, pairs, k=1.0):
     return float(np.mean((q - arr[:, 1]) ** 2))
 
 
-def grid_search_temperature(observations, resolution=1e-4, lo=1e-3, hi=10.0, k=1.0):
+def grid_search_temperature(energies, fills, resolution=1e-4, lo=1e-3, hi=10.0, k=1.0):
     """Dense grid minimisation of the observation MSE; returns (T, loss)."""
-    pairs = np.array(sorted((o.energy, o.fill_fraction) for o in observations))
-    energies, fills = pairs[:, 0], pairs[:, 1]
+    energies = np.asarray(energies, dtype=float)
+    fills = np.asarray(fills, dtype=float)
     grid = np.arange(lo, hi + resolution / 2, resolution)
     best_t, best_loss = None, np.inf
     chunk = 200_000

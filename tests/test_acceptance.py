@@ -12,7 +12,6 @@ import pytest
 from tipp import (
     EntropyParams,
     Garage,
-    Observation,
     PolicyKind,
     TimeConstants,
     TippState,
@@ -99,9 +98,8 @@ def test_criterion_3_fit_recovery():
     worst_noiseless = 0.0
     for t_star in (0.1, 0.5, 1.0):
         fills = spot_occupancy_prob(energies, EntropyParams(t_star))
-        observations = [Observation(float(e), float(f)) for e, f in zip(energies, fills)]
-        fitted = fit_temperature(observations).temperature
-        grid, _ = grid_search_temperature(observations, resolution=1e-5)
+        fitted = fit_temperature(energies, fills).temperature
+        grid, _ = grid_search_temperature(energies, fills, resolution=1e-5)
         worst_noiseless = max(worst_noiseless, abs(fitted - t_star), abs(fitted - grid))
     noiseless_ok = worst_noiseless <= 1e-4
 
@@ -115,8 +113,8 @@ def test_criterion_3_fit_recovery():
     for t_star in (0.1, 0.5, 1.0):
         hits = 0
         for seed in range(100):
-            observations = survey_to_observations(synthetic_survey(300, t_star, seed=seed))
-            hits += abs(fit_temperature(observations).temperature - t_star) <= 0.1
+            energies, fills = survey_to_observations(synthetic_survey(300, t_star, seed=seed))
+            hits += abs(fit_temperature(energies, fills).temperature - t_star) <= 0.1
         rates[t_star] = hits
     bernoulli_ok = rates[0.1] >= 90 and rates[0.5] >= 90
 
@@ -131,9 +129,9 @@ def test_criterion_3_fit_recovery():
 
 def test_criterion_4_sample_efficiency():
     survey = synthetic_survey(105, 0.5, seed=42)
-    full = survey_to_observations(survey)
-    full_fit = fit_temperature(full)
-    full_mse = mse_loss(full_fit.temperature, full)
+    energies, fills = survey_to_observations(survey)
+    full_fit = fit_temperature(energies, fills)
+    full_mse = mse_loss(full_fit.temperature, energies, fills)
     curve = sample_efficiency_curve(survey, [5, 10, 20, 50, 105],
                                     trials_per_size=50, seed=42)
     means = [point.mean_mse for point in curve]

@@ -171,6 +171,13 @@ class TestFit:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--gradient-tolerance"])
+    def test_non_finite_fit_setting_is_usage_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "lot.csv"
+        save_survey(synthetic_survey(105, 0.5, seed=42), path)
+        assert main(["fit", str(path), flag, "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSampleCurve:
     def test_writes_curve_with_zero_spread_at_full_size(self, tmp_path):

@@ -10,7 +10,6 @@ from tipp import (
     EntropyParams,
     FitConfig,
     LotSurvey,
-    Observation,
     fit_temperature,
     load_survey,
     mse_loss,
@@ -31,8 +30,8 @@ MSE_E1_FILL1_T05 = 0.580025658385974
 def noiseless_observations(t_star, energies=None):
     if energies is None:
         energies = np.arange(1, 11) / 10.0
-    fills = spot_occupancy_prob(np.asarray(energies), EntropyParams(t_star))
-    return [Observation(float(e), float(f)) for e, f in zip(energies, fills)]
+    energies = np.asarray(energies, dtype=float)
+    return energies, spot_occupancy_prob(energies, EntropyParams(t_star))
 
 
 def square_survey(occupied):
@@ -43,14 +42,14 @@ def square_survey(occupied):
 
 class TestSurveyToObservations:
     def test_normalization_and_fills(self):
-        obs = survey_to_observations(square_survey([False, True, True]))
-        assert obs[0].energy == 0.0 and obs[0].fill_fraction == 0.0
-        assert obs[1].energy == 0.25 and obs[1].fill_fraction == 1.0
-        assert obs[2].energy == 1.0 and obs[2].fill_fraction == 1.0
+        energies, fills = survey_to_observations(square_survey([False, True, True]))
+        assert energies.tolist() == [0.0, 0.25, 1.0]
+        assert fills.tolist() == [0.0, 1.0, 1.0]
 
     def test_output_length_matches_spot_count(self):
         survey = synthetic_survey(40, 0.5, seed=1)
-        assert len(survey_to_observations(survey)) == 40
+        energies, fills = survey_to_observations(survey)
+        assert energies.shape == fills.shape == (40,)
 
     def test_degenerate_geometry(self):
         survey = LotSurvey(x=np.zeros(3), y=np.zeros(3),
@@ -66,33 +65,33 @@ class TestSurveyToObservations:
         scaled = LotSurvey(x=survey.x * c, y=survey.y * c, occupied=survey.occupied,
                            poi=(survey.poi[0] * c, survey.poi[1] * c))
         for a, b in zip(survey_to_observations(survey), survey_to_observations(scaled)):
-            assert a == b
+            np.testing.assert_array_equal(a, b)
 
     def test_scale_invariance_close_for_arbitrary_factor(self):
         survey = synthetic_survey(25, 0.5, seed=9)
         c = 3.7
         scaled = LotSurvey(x=survey.x * c, y=survey.y * c, occupied=survey.occupied,
                            poi=(survey.poi[0] * c, survey.poi[1] * c))
-        for a, b in zip(survey_to_observations(survey), survey_to_observations(scaled)):
-            assert a.energy == pytest.approx(b.energy, rel=1e-12)
+        (e_a, f_a), (e_b, f_b) = survey_to_observations(survey), survey_to_observations(scaled)
+        np.testing.assert_allclose(e_a, e_b, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(f_a, f_b)
 
 
 class TestMseLoss:
     def test_zero_energy_full_fill_is_exact(self):
-        obs = [Observation(0.0, 1.0)] * 3
         for t in (0.1, 0.5, 2.0):
-            assert mse_loss(t, obs) == 0.0
+            assert mse_loss(t, np.zeros(3), np.ones(3)) == 0.0
 
     def test_self_consistent_observation(self):
         q = spot_occupancy_prob(1.0, EntropyParams(0.5))
-        assert mse_loss(0.5, [Observation(1.0, q)]) == 0.0
+        assert mse_loss(0.5, [1.0], [q]) == 0.0
 
     def test_known_value(self):
-        assert mse_loss(0.5, [Observation(1.0, 1.0)]) == pytest.approx(MSE_E1_FILL1_T05, abs=1e-12)
+        assert mse_loss(0.5, [1.0], [1.0]) == pytest.approx(MSE_E1_FILL1_T05, abs=1e-12)
 
     def test_empty_observations(self):
         with pytest.raises(ValueError):
-            mse_loss(0.5, [])
+            mse_loss(0.5, [], [])
 
 
 class TestGradient:
@@ -102,60 +101,55 @@ class TestGradient:
             m = int(rng.integers(1, 12))
             energies = rng.uniform(0.0, 1.5, m)
             fills = rng.uniform(0.0, 1.0, m)
-            obs = [Observation(float(e), float(f)) for e, f in zip(energies, fills)]
             t = float(rng.uniform(0.05, 8.0))
             _, grad = _loss_and_grad(t, energies[np.argsort(energies)],
                                      fills[np.argsort(energies)])
-            numeric = central_difference(lambda x: mse_loss(x, obs), t, 1e-6 * t)
+            numeric = central_difference(lambda x: mse_loss(x, energies, fills), t, 1e-6 * t)
             assert grad == pytest.approx(numeric, rel=1e-5, abs=1e-10)
 
 
 class TestFitTemperature:
     def test_noiseless_recovery(self):
-        res = fit_temperature(noiseless_observations(0.5), FitConfig(initial_temperature=1.5))
+        res = fit_temperature(*noiseless_observations(0.5), FitConfig(initial_temperature=1.5))
         assert abs(res.temperature - 0.5) < 1e-4
         assert res.final_loss < 1e-12
 
     def test_already_at_optimum_converges_immediately(self):
         q = spot_occupancy_prob(1.0, EntropyParams(0.5))
-        res = fit_temperature([Observation(1.0, q)])
+        res = fit_temperature([1.0], [q])
         assert res.iterations == 0
         assert res.final_loss == 0.0
         assert res.temperature == 0.5
 
     def test_all_occupied_saturates_high(self):
-        obs = [Observation(0.1 * k, 1.0) for k in range(1, 11)]
-        res = fit_temperature(obs)
+        res = fit_temperature(0.1 * np.arange(1, 11), np.ones(10))
         assert res.temperature == T_MAX
         assert res.clamped
 
     def test_all_vacant_saturates_low(self):
         # energies small enough that the cold-side gradient stays above
         # the tolerance all the way down to the clamp
-        obs = [Observation(0.01 * k, 0.0) for k in range(1, 11)]
-        res = fit_temperature(obs)
+        res = fit_temperature(0.01 * np.arange(1, 11), np.zeros(10))
         assert res.temperature == T_MIN
         assert res.clamped
 
     def test_all_vacant_with_larger_energies_goes_effectively_cold(self):
         # with E >= 0.1 the gradient underflows before the clamp; the fit
         # still lands within float-zero loss of the infimum
-        obs = [Observation(0.1 * k, 0.0) for k in range(1, 11)]
-        res = fit_temperature(obs)
+        res = fit_temperature(0.1 * np.arange(1, 11), np.zeros(10))
         assert res.temperature < 0.01
         assert res.final_loss < 1e-11
 
     def test_empty_observations(self):
         with pytest.raises(ValueError):
-            fit_temperature([])
+            fit_temperature([], [])
 
     def test_order_invariance_is_exact(self):
         rng = np.random.default_rng(5)
-        obs = [Observation(float(e), float(f))
-               for e, f in zip(rng.uniform(0, 1, 30), rng.integers(0, 2, 30))]
-        res_a = fit_temperature(obs)
-        rng.shuffle(obs)
-        res_b = fit_temperature(obs)
+        energies, fills = rng.uniform(0, 1, 30), rng.integers(0, 2, 30).astype(float)
+        res_a = fit_temperature(energies, fills)
+        order = rng.permutation(30)
+        res_b = fit_temperature(energies[order], fills[order])
         assert res_a.temperature == res_b.temperature
         assert res_a.final_loss == res_b.final_loss
 
@@ -169,9 +163,8 @@ class TestFitTemperature:
                 + rng.normal(0, 0.05, 25),
                 0.0, 1.0,
             )
-            obs = [Observation(float(e), float(f)) for e, f in zip(energies, fills)]
-            fitted = fit_temperature(obs).temperature
-            oracle, _ = grid_search_temperature(obs, resolution=1e-4)
+            fitted = fit_temperature(energies, fills).temperature
+            oracle, _ = grid_search_temperature(energies, fills, resolution=1e-4)
             assert abs(fitted - oracle) <= 1e-3
 
     @given(st.lists(
@@ -181,16 +174,14 @@ class TestFitTemperature:
         st.floats(min_value=T_MIN, max_value=T_MAX))
     @settings(max_examples=60, deadline=None)
     def test_never_worse_than_start(self, pairs, start):
-        obs = [Observation(e, f) for e, f in pairs]
-        res = fit_temperature(obs, FitConfig(initial_temperature=start))
-        assert res.final_loss <= mse_loss(start, obs) + 1e-15
+        energies, fills = np.array(pairs).T
+        res = fit_temperature(energies, fills, FitConfig(initial_temperature=start))
+        assert res.final_loss <= mse_loss(start, energies, fills) + 1e-15
 
     def test_result_always_in_domain(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            obs = [Observation(float(e), float(f))
-                   for e, f in zip(rng.uniform(0, 1, 8), rng.integers(0, 2, 8))]
-            res = fit_temperature(obs)
+            res = fit_temperature(rng.uniform(0, 1, 8), rng.integers(0, 2, 8))
             assert T_MIN <= res.temperature <= T_MAX
 
 
@@ -208,6 +199,10 @@ class TestFitConfig:
         {"gradient_tolerance": -1.0},
         {"initial_temperature": 0.0},
         {"initial_temperature": T_MAX + 1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"gradient_tolerance": float("nan")},
+        {"gradient_tolerance": float("inf")},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -215,25 +210,34 @@ class TestFitConfig:
 
 
 class TestObservation:
+    """Observations are (energies, fills) arrays; both entry points reject bad ones."""
+
     @pytest.mark.parametrize("kw", [
-        {"energy": -0.1, "fill_fraction": 0.5},
-        {"energy": float("nan"), "fill_fraction": 0.5},
-        {"energy": 0.5, "fill_fraction": -0.01},
-        {"energy": 0.5, "fill_fraction": 1.01},
+        {"energies": [-0.1], "fills": [0.5]},
+        {"energies": [float("nan")], "fills": [0.5]},
+        {"energies": [0.5], "fills": [-0.01]},
+        {"energies": [0.5], "fills": [1.01]},
+        {"energies": [0.5, 0.7], "fills": [0.5]},
+        {"energies": [[0.5, 0.7]], "fills": [[0.5, 0.5]]},
+        {"energies": [0.5], "fills": [float("nan")]},
+        {"energies": [float("inf")], "fills": [0.5]},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
-            Observation(**kw)
+            fit_temperature(**kw)
+        with pytest.raises(ValueError):
+            mse_loss(0.5, **kw)
 
 
 class TestSampleEfficiencyCurve:
     def test_full_lot_sample_has_zero_spread(self):
         survey = synthetic_survey(40, 0.5, seed=3)
-        full = survey_to_observations(survey)
-        full_fit = fit_temperature(full)
+        energies, fills = survey_to_observations(survey)
+        full_fit = fit_temperature(energies, fills)
         (point,) = sample_efficiency_curve(survey, [40], trials_per_size=5, seed=0)
         assert point.std_mse == 0.0
-        assert point.mean_mse == pytest.approx(mse_loss(full_fit.temperature, full), abs=1e-15)
+        assert point.mean_mse == pytest.approx(mse_loss(full_fit.temperature, energies, fills),
+                                               abs=1e-15)
 
     def test_single_observation_fits_are_worse_than_ten(self):
         survey = synthetic_survey(105, 0.5, seed=42)
@@ -313,7 +317,6 @@ class TestSyntheticSurvey:
         assert hot.occupied.mean() > cold.occupied.mean()
 
     def test_energies_cover_unit_interval(self):
-        obs = survey_to_observations(synthetic_survey(100, 0.5, seed=6))
-        energies = [o.energy for o in obs]
-        assert max(energies) == 1.0
-        assert min(energies) >= 0.0
+        energies, _ = survey_to_observations(synthetic_survey(100, 0.5, seed=6))
+        assert energies.max() == 1.0
+        assert energies.min() >= 0.0

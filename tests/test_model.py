@@ -186,6 +186,8 @@ class TestLevelAvailabilityProb:
         with pytest.raises(ValueError):
             level_availability_prob(-0.1, 30)
         with pytest.raises(ValueError):
+            level_availability_prob(float("nan"), 30)
+        with pytest.raises(ValueError):
             level_availability_prob(0.5, 0)
 
     @given(st.floats(min_value=0.001, max_value=0.999),

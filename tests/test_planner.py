@@ -11,8 +11,10 @@ from tipp import (
     GarageShape,
     TimeConstants,
     TippState,
+    fit_temperature,
     level_availability_prob,
     level_energies,
+    level_energy,
     observe_floor,
     plan_parking,
     solve_dp,
@@ -243,3 +245,12 @@ class TestTippDecide:
         energy = level_energies(10)[4]
         expected = energy / np.log(2.0 / 0.5 - 1.0)
         assert plan.temperature == pytest.approx(expected, rel=1e-4)
+
+    def test_refit_sees_the_scalar_floor_energies(self):
+        # level_energy(33, 41) (libm pow) and level_energies(41)[32] (numpy
+        # square) can differ by 1 ulp; the refit keeps the scalar values
+        state = TippState(temperature_estimate=0.5, floor_observations={33: 0.6, 5: 0.9})
+        plan = plan_parking(state, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
+        expected = fit_temperature([level_energy(5, 41), level_energy(33, 41)], [0.9, 0.6],
+                                   FitConfig(initial_temperature=0.5))
+        assert plan.temperature == expected.temperature
