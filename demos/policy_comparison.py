@@ -20,8 +20,7 @@ out_dir.mkdir(exist_ok=True)
 runs = {}
 for policy in PolicyKind:
     garage = Garage.from_temperature(10, 30, TEMPERATURE, seed=0)
-    outcomes = run_policy_sequence(garage, policy, NUM_CARS, times,
-                                   prior_temperature=TEMPERATURE)
+    outcomes = run_policy_sequence(garage, policy, NUM_CARS, times)
     runs[policy] = outcomes
     write_outcomes_csv(out_dir / f"{policy.value}_percar.csv", policy, outcomes)
 

@@ -31,7 +31,6 @@ from .planner import (
     TimeConstants,
     TippPlan,
     TippState,
-    observe_floor,
     plan_parking,
     solve_dp,
     total_time,

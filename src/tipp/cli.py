@@ -8,9 +8,9 @@ curve), ``render`` (text + PPM pictures of the initialized garage).
 Every command is a pure function of (config, input files): re-running
 with the same configuration and seed reproduces outputs byte for byte.
 Configuration comes from an optional JSON file (--config) mirroring the
-scenario fields, with any individual field overridable by a flag of the
-same name.  Exit codes: 0 success, 2 config/usage error, 3 simulation
-failure (garage exhausted).
+scenario fields; a verb takes a flag of the same name for each field it
+reads, and the flag wins.  Exit codes: 0 success, 2 config/usage error,
+3 simulation failure (garage exhausted).
 """
 
 import argparse
@@ -72,6 +72,9 @@ class ScenarioConfig:
 
 _SCENARIO_SCALARS = ("num_levels", "capacity_per_level", "temperature", "num_cars",
                      "seed", "departure_prob", "output_dir")
+_CONFIG_TYPES = {"num_levels": int, "capacity_per_level": int, "temperature": (int, float),
+                 "num_cars": int, "seed": int, "departure_prob": (int, float),
+                 "output_dir": str, "times": dict, "fit": dict, "policies": (str, list)}
 _TIME_FIELDS = ("t1", "t2", "t3")
 _FIT_FIELDS = ("learning_rate", "max_iterations", "gradient_tolerance", "initial_temperature")
 
@@ -93,11 +96,24 @@ def _load_config_file(path) -> dict:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    known = set(_SCENARIO_SCALARS) | {"times", "fit", "policies"}
-    for key in data:
-        if key not in known:
+    for key, value in data.items():
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}: unknown config field {key!r}")
+        _check_type(path, key, value, _CONFIG_TYPES[key])
+    for section, names in (("times", _TIME_FIELDS), ("fit", _FIT_FIELDS)):
+        for name, value in data.get(section, {}).items():
+            if name not in names:
+                raise ValueError(f"{path}: unknown config field '{section}.{name}'")
+            expected = int if name == "max_iterations" else (int, float)
+            _check_type(path, f"{section}.{name}", value, expected)
     return data
+
+
+def _check_type(path, name: str, value, expected) -> None:
+    # JSON true/false load as bool, which Python counts as an int
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"{path}: config field {name!r} has the wrong type "
+                         f"({type(value).__name__})")
 
 
 def build_config(args) -> ScenarioConfig:
@@ -130,12 +146,8 @@ def build_config(args) -> ScenarioConfig:
     if getattr(args, "policies", None) is not None:
         policies = args.policies
 
-    try:
-        times = TimeConstants(**times_kw)
-        fit = FitConfig(**fit_kw)
-    except TypeError as exc:
-        raise ValueError(f"bad times/fit config: {exc}") from None
-    return ScenarioConfig(times=times, fit=fit, policies=_parse_policies(policies), **scalars)
+    return ScenarioConfig(times=TimeConstants(**times_kw), fit=FitConfig(**fit_kw),
+                          policies=_parse_policies(policies), **scalars)
 
 
 def _run_policies(config: ScenarioConfig):
@@ -148,11 +160,8 @@ def _run_policies(config: ScenarioConfig):
     for policy in config.policies:
         garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
                                          config.temperature, config.seed)
-        outcomes = run_policy_sequence(
-            garage, policy, config.num_cars, config.times, config.fit,
-            prior_temperature=config.temperature,
-            departure_prob=config.departure_prob,
-        )
+        outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
+                                       config.fit, departure_prob=config.departure_prob)
         runs.append((policy, outcomes, config.num_cars - len(outcomes)))
     return runs
 
@@ -245,29 +254,29 @@ def _comma_ints(value: str) -> list:
     return [int(v) for v in value.split(",") if v]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file mirroring the scenario fields")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", help="output directory")
-
-
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
+def _add_garage_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-levels", dest="num_levels", type=int)
     parser.add_argument("--capacity-per-level", dest="capacity_per_level", type=int)
-    parser.add_argument("--temperature", type=float)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-cars", dest="num_cars", type=int)
     parser.add_argument("--departure-prob", dest="departure_prob", type=float)
     parser.add_argument("--policies", help="comma-separated subset of benchmark,inverse,optimal,tipp")
     parser.add_argument("--t1", type=float, help="floor scan time, seconds")
     parser.add_argument("--t2", type=float, help="walk-up time per floor, seconds")
     parser.add_argument("--t3", type=float, help="drive-down time per floor, seconds")
-    _add_fit_flags(parser)
+    _add_step_flags(parser)
 
 
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+def _add_step_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--learning-rate", dest="learning_rate", type=float)
     parser.add_argument("--max-iterations", dest="max_iterations", type=int)
     parser.add_argument("--gradient-tolerance", dest="gradient_tolerance", type=float)
+
+
+def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+    _add_step_flags(parser)
     parser.add_argument("--initial-temperature", dest="initial_temperature", type=float)
 
 
@@ -278,32 +287,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="compare policies on one garage")
-    _add_common(p)
-    _add_scenario_flags(p)
+    def verb(name, help_text):
+        # no abbreviations, so that --temperature never stands for --temperatures
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file mirroring the scenario fields")
+        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--out", help="output directory")
+        return p
 
-    p = sub.add_parser("sweep", help="simulate across temperatures")
-    _add_common(p)
-    _add_scenario_flags(p)
+    p = verb("simulate", "compare policies on one garage")
+    _add_garage_flags(p)
+    p.add_argument("--temperature", type=float)
+    _add_run_flags(p)
+
+    p = verb("sweep", "simulate across temperatures")
+    _add_garage_flags(p)
+    _add_run_flags(p)
     p.add_argument("--temperatures", type=_comma_floats, required=True,
                    help="comma-separated temperatures, e.g. 0.1,0.5,1.0")
 
-    p = sub.add_parser("fit", help="fit a lot temperature from a survey CSV")
-    _add_common(p)
+    p = verb("fit", "fit a lot temperature from a survey CSV")
     _add_fit_flags(p)
     p.add_argument("survey", help="survey CSV path")
 
-    p = sub.add_parser("sample-curve", help="sample-efficiency curve for a survey")
-    _add_common(p)
+    p = verb("sample-curve", "sample-efficiency curve for a survey")
     _add_fit_flags(p)
     p.add_argument("survey", help="survey CSV path")
     p.add_argument("--sizes", type=_comma_ints, required=True,
                    help="comma-separated sample sizes, e.g. 5,10,20,50,105")
     p.add_argument("--trials", type=int, default=50)
 
-    p = sub.add_parser("render", help="render the initialized garage")
-    _add_common(p)
-    _add_scenario_flags(p)
+    p = verb("render", "render the initialized garage")
+    _add_garage_flags(p)
+    p.add_argument("--temperature", type=float)
     return parser
 
 

@@ -19,7 +19,7 @@ with ties broken toward the smallest ``j`` so the walk back stays short.
 
 The closed loop re-estimates the temperature from the floor fills seen
 so far, converts it to per-floor availabilities, re-solves the program
-and takes ``u(current floor)``.
+and takes ``u(i)`` from the car's current floor ``i``.
 """
 
 import math
@@ -143,21 +143,19 @@ def total_time(floors, times: TimeConstants) -> float:
     return len(floors) * times.t1 + driven * times.t3 + here * times.t2
 
 
-@dataclass(frozen=True)
+@dataclass
 class TippState:
-    """Closed-loop policy memory: position, temperature estimate, floor fills seen.
+    """Closed-loop policy memory, carried from car to car and updated in place.
 
-    Treat instances as values; :func:`observe_floor` returns updated
-    copies instead of mutating.
+    ``temperature_estimate`` is the latest refitted temperature and
+    ``floor_observations`` maps each floor scanned so far to the fill
+    fraction last seen there.
     """
 
-    current_floor: int = 0
     temperature_estimate: float = 0.5
     floor_observations: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.current_floor < 0:
-            raise ValueError("current_floor must be >= 0")
         if not T_MIN <= self.temperature_estimate <= T_MAX:
             raise ValueError(
                 f"temperature_estimate must lie in [{T_MIN}, {T_MAX}]"
@@ -167,17 +165,6 @@ class TippState:
                 raise ValueError("observed floors must be >= 1")
             if not 0.0 <= fill <= 1.0:
                 raise ValueError("observed fills must lie in [0, 1]")
-
-
-def observe_floor(state: TippState, floor: int, fill_fraction: float) -> TippState:
-    """Record the latest fill fraction seen on a floor (last writer wins)."""
-    if floor < 1:
-        raise ValueError("floor must be >= 1")
-    if not 0.0 <= fill_fraction <= 1.0:
-        raise ValueError("fill_fraction must lie in [0, 1]")
-    observations = dict(state.floor_observations)
-    observations[floor] = float(fill_fraction)
-    return replace(state, floor_observations=observations)
 
 
 @dataclass(frozen=True)
@@ -190,17 +177,18 @@ class TippPlan:
     solution: DpSolution
 
 
-def plan_parking(state: TippState, shape: GarageShape, times: TimeConstants,
-                 fit_config: FitConfig | None = None) -> TippPlan:
-    """Re-estimate, re-solve, and pick the next floor from the current one.
+def plan_parking(state: TippState, from_floor: int, shape: GarageShape,
+                 times: TimeConstants, fit_config: FitConfig | None = None) -> TippPlan:
+    """Re-estimate, re-solve, and pick the next floor below ``from_floor``
+    (0 = entrance).
 
     If any floor fills have been observed, the temperature is refitted
     on {(E(k), fill_k)} starting from the current estimate; otherwise
     the prior estimate is kept.  Availabilities follow from the model
-    and the DP supplies u(current floor).
+    and the DP supplies u(from_floor).  ``state`` is only read.
     """
     n = shape.num_levels
-    if state.current_floor >= n:
+    if from_floor >= n:
         raise GarageExhaustedError("garage exhausted: no floor below the current one")
     if fit_config is None:
         fit_config = FitConfig()
@@ -216,7 +204,7 @@ def plan_parking(state: TippState, shape: GarageShape, times: TimeConstants,
     availability = level_availability_prob(q, shape.capacity_per_level)
     solution = solve_dp(availability, times)
     return TippPlan(
-        next_floor=solution.action(state.current_floor),
+        next_floor=solution.action(from_floor),
         temperature=temperature,
         availability=availability,
         solution=solution,

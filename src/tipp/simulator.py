@@ -19,7 +19,7 @@ either direction, t2 per floor walked back up from the parked floor.
 On a descent this is n*t1 + a*(t2 + t3).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,7 +31,6 @@ from .planner import (
     GarageShape,
     TimeConstants,
     TippState,
-    observe_floor,
     plan_parking,
     total_time,
 )
@@ -150,15 +149,16 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
                 car_index: int = 0) -> tuple[ArrivalOutcome, TippState | None]:
     """Drive one car through the garage under a policy.
 
-    Returns the outcome and, for the tipp policy, the updated policy
-    memory (None otherwise).  Raises GarageExhaustedError when the
-    policy runs out of floors to try.
+    Returns the outcome and, for the tipp policy, the policy memory:
+    ``tipp_state`` itself, updated in place, or a fresh one started from
+    the garage's temperature (None for the other policies).  Raises
+    GarageExhaustedError when the policy runs out of floors to try.
     """
     if times is None:
         times = TimeConstants()
     policy = PolicyKind(policy)
     n = garage.num_levels
-    memory = None
+    state = None
     if policy is PolicyKind.BENCHMARK:
         floors = range(1, n + 1)
     elif policy is PolicyKind.INVERSE:
@@ -167,67 +167,59 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
         floor = garage.lowest_free_floor()
         floors = () if floor is None else (floor,)
     else:
-        if tipp_state is None:
-            tipp_state = TippState(temperature_estimate=garage.init_temperature
-                                   if garage.init_temperature is not None else 0.5)
-        memory = [tipp_state]
-        floors = _tipp_floors(garage, times, fit_config, memory)
+        state = tipp_state
+        if state is None:
+            state = TippState(temperature_estimate=garage.init_temperature
+                              if garage.init_temperature is not None else 0.5)
+        floors = _tipp_floors(garage, times, fit_config, state)
 
     scanned = []
     for floor in floors:
         scanned.append(floor)
         spot = garage.scan_and_park(floor)
+        if state is not None:
+            state.floor_observations[floor] = garage.level_fill_fraction(floor)
         if spot is not None:
-            elapsed = total_time(scanned, times)
-            if memory is None:
-                return ArrivalOutcome(car_index, tuple(scanned), floor, spot, elapsed), None
-            state = memory[0]
-            outcome = ArrivalOutcome(car_index, tuple(scanned), floor, spot, elapsed,
-                                     temperature_estimate_after=state.temperature_estimate)
-            # the next car's memory holds the fill this park left behind
-            return outcome, observe_floor(state, floor, garage.level_fill_fraction(floor))
+            estimate = None if state is None else state.temperature_estimate
+            outcome = ArrivalOutcome(car_index, tuple(scanned), floor, spot,
+                                     total_time(scanned, times), estimate)
+            return outcome, state
     raise GarageExhaustedError(
         f"garage exhausted: {policy.value} car {car_index} found no spot")
 
 
 def _tipp_floors(garage: Garage, times: TimeConstants, fit_config: FitConfig | None,
-                 memory: list):
+                 state: TippState):
     """Yield the closed loop's floors, re-planning from each full one.
 
-    Each floor's fill is observed before the car scans it, so a car's own
-    parking never feeds the decision that led to it; ``memory[0]`` holds
-    the state after the latest plan and observation.
+    Each plan refits ``state.temperature_estimate`` from the fills that
+    ``run_arrival`` records as each floor is scanned.  A car stops
+    planning once it parks, so its own park informs only later cars.
     """
-    state = replace(memory[0], current_floor=0)
-    while state.current_floor < garage.num_levels:
-        plan = plan_parking(state, garage.shape, times, fit_config)
-        floor = plan.next_floor
-        state = observe_floor(replace(state, temperature_estimate=plan.temperature),
-                              floor, garage.level_fill_fraction(floor))
-        memory[0] = state
-        yield floor
-        state = replace(state, current_floor=floor)
+    here = 0
+    while here < garage.num_levels:
+        plan = plan_parking(state, here, garage.shape, times, fit_config)
+        state.temperature_estimate = plan.temperature
+        here = plan.next_floor
+        yield here
 
 
 def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
                         times: TimeConstants | None = None,
                         fit_config: FitConfig | None = None,
-                        prior_temperature: float | None = None,
                         departure_prob: float = 0.0) -> list[ArrivalOutcome]:
     """Insert cars sequentially under one policy.
 
     Stops early if the garage is exhausted; the returned list then holds
-    fewer than ``num_cars`` outcomes.  ``prior_temperature`` seeds the
-    tipp policy's initial estimate (defaults to the temperature the
-    garage was built from).  A positive ``departure_prob`` applies one
-    renewal step after every arrival.
+    fewer than ``num_cars`` outcomes.  The tipp policy's memory starts
+    from the temperature the garage was built at and carries over from
+    car to car.  A positive ``departure_prob`` applies one renewal step
+    after every arrival.
     """
     if num_cars < 1:
         raise ValueError("num_cars must be >= 1")
     policy = PolicyKind(policy)
-    state = None  # run_arrival starts the tipp memory from the garage's temperature
-    if policy is PolicyKind.TIPP and prior_temperature is not None:
-        state = TippState(temperature_estimate=prior_temperature)
+    state = None
     outcomes = []
     for car in range(num_cars):
         try:

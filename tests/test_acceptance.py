@@ -152,8 +152,7 @@ def _cumulative_times(temperature):
     for policy in PolicyKind:
         garage = Garage.from_temperature(10, 30, temperature, seed=0)
         start = time.perf_counter()
-        outcomes = run_policy_sequence(garage, policy, 30, DEFAULT_TIMES,
-                                       prior_temperature=temperature)
+        outcomes = run_policy_sequence(garage, policy, 30, DEFAULT_TIMES)
         elapsed[policy] = time.perf_counter() - start
         assert len(outcomes) == 30
         cumulative[policy] = sum(o.elapsed_time for o in outcomes)

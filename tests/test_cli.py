@@ -94,11 +94,31 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"num_car": 4}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config field" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"fit": {"learning_rat": 0.1}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config field 'fit.learning_rat'" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("data, field", [
+        ({"times": 5}, "times"),
+        ({"fit": [1]}, "fit"),
+        ({"policies": 5}, "policies"),
+        ({"num_levels": "ten"}, "num_levels"),
+        ({"seed": "x"}, "seed"),
+        ({"times": {"t1": True}}, "times.t1"),
+        ({"fit": {"max_iterations": 2.5}}, "fit.max_iterations"),
+    ])
+    def test_mistyped_field_is_usage_error(self, tmp_path, capsys, data, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err
+        assert "Traceback" not in err
 
     def test_fit_reads_fit_fields_and_writes_nothing_without_out(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -136,6 +156,24 @@ class TestSweep:
     def test_empty_temperature_list_is_usage_error(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path / "x"), "--temperatures", ""]) == 2
         assert "temperature" in capsys.readouterr().err
+
+
+RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2", "--t3",
+                  "--learning-rate", "--max-iterations", "--gradient-tolerance"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["render", flag, "1"] for flag in RUN_ONLY_FLAGS),
+    ["render", "--initial-temperature", "1"],
+    ["sweep", "--temperatures", "0.5", "--temperature", "0.9"],
+    ["sweep", "--temperatures", "0.5", "--initial-temperature", "9"],
+    ["simulate", "--initial-temperature", "9"],
+])
+def test_flag_the_verb_does_not_read_is_usage_error(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 class TestFit:

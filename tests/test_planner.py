@@ -15,7 +15,6 @@ from tipp import (
     level_availability_prob,
     level_energies,
     level_energy,
-    observe_floor,
     plan_parking,
     solve_dp,
     spot_occupancy_prob,
@@ -150,15 +149,15 @@ class TestTotalTime:
 class TestTippState:
     def test_defaults(self):
         state = TippState()
-        assert state.current_floor == 0
+        assert state.temperature_estimate == 0.5
         assert state.floor_observations == {}
 
     @pytest.mark.parametrize("kw", [
-        {"current_floor": -1},
         {"temperature_estimate": 0.0},
         {"temperature_estimate": T_MAX * 2},
         {"floor_observations": {0: 0.5}},
         {"floor_observations": {3: 1.5}},
+        {"floor_observations": {2: -0.1}},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -166,30 +165,15 @@ class TestTippState:
 
 
 class TestObserveFloor:
-    def test_latest_observation_wins(self):
-        state = TippState()
-        state = observe_floor(state, 4, 0.5)
-        state = observe_floor(state, 4, 0.9)
-        assert state.floor_observations == {4: 0.9}
-
-    def test_fraction_recorded(self):
-        state = observe_floor(TippState(), 3, 24 / 30)
-        assert state.floor_observations[3] == 0.8
-
-    def test_fresh_state_plus_one_observation(self):
-        state = observe_floor(TippState(), 7, 0.25)
-        assert len(state.floor_observations) == 1
-
-    def test_original_state_not_mutated(self):
-        original = TippState()
-        observe_floor(original, 2, 0.5)
-        assert original.floor_observations == {}
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            observe_floor(TippState(), 0, 0.5)
-        with pytest.raises(ValueError):
-            observe_floor(TippState(), 1, 1.5)
+        # the memory is a plain dict, so a bad entry added after
+        # construction is caught when the planner reads it
+        shape = GarageShape(num_levels=10, capacity_per_level=30)
+        for floor, fill in ((0, 0.5), (1, 1.5)):
+            state = TippState()
+            state.floor_observations[floor] = fill
+            with pytest.raises(ValueError):
+                plan_parking(state, 0, shape, TIMES)
 
 
 class TestTippDecide:
@@ -203,45 +187,48 @@ class TestTippDecide:
         state = TippState(temperature_estimate=0.5)
         p = self._availability(0.5)
         _, oracle_itinerary = enumerate_best_itinerary(p, TIMES.t1, TIMES.t2, TIMES.t3)
-        assert plan_parking(state, self.SHAPE, TIMES).next_floor == oracle_itinerary[0]
+        assert plan_parking(state, 0, self.SHAPE, TIMES).next_floor == oracle_itinerary[0]
 
     def test_plan_reports_prior_when_no_observations(self):
-        plan = plan_parking(TippState(temperature_estimate=0.7), self.SHAPE, TIMES)
+        plan = plan_parking(TippState(temperature_estimate=0.7), 0, self.SHAPE, TIMES)
         assert plan.temperature == 0.7
         np.testing.assert_allclose(plan.availability, self._availability(0.7), rtol=1e-12)
 
     def test_vacant_bottom_floor_pulls_the_estimate_cold(self):
-        state = observe_floor(TippState(temperature_estimate=0.5), 10, 0.0)
-        plan = plan_parking(state, self.SHAPE, TIMES)
+        state = TippState(temperature_estimate=0.5, floor_observations={10: 0.0})
+        plan = plan_parking(state, 0, self.SHAPE, TIMES)
         # the refit lands in the cold regime (fit loss is float-zero there),
         # every floor then looks available, and the nearest floor wins
         assert plan.temperature < 0.1
         assert plan.availability.min() > 0.8
         assert plan.next_floor == 1
 
-    def test_full_current_floor_still_descends(self):
+    def test_full_from_floor_still_descends(self):
         for floor in (1, 4, 9):
-            state = TippState(current_floor=floor, temperature_estimate=0.5,
-                              floor_observations={floor: 1.0})
-            assert plan_parking(state, self.SHAPE, TIMES).next_floor > floor
+            state = TippState(temperature_estimate=0.5, floor_observations={floor: 1.0})
+            assert plan_parking(state, floor, self.SHAPE, TIMES).next_floor > floor
 
     def test_exhausted_at_bottom(self):
-        state = TippState(current_floor=10, temperature_estimate=0.5)
+        state = TippState(temperature_estimate=0.5)
         with pytest.raises(GarageExhaustedError):
-            plan_parking(state, self.SHAPE, TIMES)
+            plan_parking(state, 10, self.SHAPE, TIMES)
+
+    def test_rejects_a_floor_above_the_entrance(self):
+        with pytest.raises(ValueError):
+            plan_parking(TippState(), -1, self.SHAPE, TIMES)
 
     def test_deterministic(self):
         state = TippState(temperature_estimate=0.5,
                           floor_observations={2: 1.0, 6: 0.5})
-        a = plan_parking(state, self.SHAPE, TIMES).next_floor
-        b = plan_parking(state, self.SHAPE, TIMES).next_floor
+        a = plan_parking(state, 0, self.SHAPE, TIMES).next_floor
+        b = plan_parking(state, 0, self.SHAPE, TIMES).next_floor
         assert a == b
 
     def test_refit_warm_starts_from_the_estimate(self):
         # a single fractional observation has an exact-fit temperature;
         # the refit must land there regardless of the prior
-        state = observe_floor(TippState(temperature_estimate=2.0), 5, 0.5)
-        plan = plan_parking(state, self.SHAPE, TIMES, FitConfig())
+        state = TippState(temperature_estimate=2.0, floor_observations={5: 0.5})
+        plan = plan_parking(state, 0, self.SHAPE, TIMES, FitConfig())
         energy = level_energies(10)[4]
         expected = energy / np.log(2.0 / 0.5 - 1.0)
         assert plan.temperature == pytest.approx(expected, rel=1e-4)
@@ -250,7 +237,7 @@ class TestTippDecide:
         # level_energy(33, 41) (libm pow) and level_energies(41)[32] (numpy
         # square) can differ by 1 ulp; the refit keeps the scalar values
         state = TippState(temperature_estimate=0.5, floor_observations={33: 0.6, 5: 0.9})
-        plan = plan_parking(state, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
+        plan = plan_parking(state, 0, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
         expected = fit_temperature([level_energy(5, 41), level_energy(33, 41)], [0.9, 0.6],
                                    FitConfig(initial_temperature=0.5))
         assert plan.temperature == expected.temperature

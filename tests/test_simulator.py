@@ -185,9 +185,9 @@ class TestRunArrival:
 
     def test_tipp_observes_fill_before_parking(self):
         # a cold prior makes every floor look available, so the policy
-        # goes to floor 1 first; the decision rests on the pre-parking
-        # fill, so the park triggers no refit, and only the memory handed
-        # to the next car records the fill the park left behind
+        # goes to floor 1 first and parks there; the car stops planning
+        # once it parks, so the park triggers no refit, and the fill it
+        # left behind is recorded only for the next car
         garage = single_free_spot_garage(floor=1)
         outcome, state = run_arrival(garage, PolicyKind.TIPP, TIMES,
                                      tipp_state=TippState(temperature_estimate=0.001))
@@ -195,6 +195,18 @@ class TestRunArrival:
         assert outcome.temperature_estimate_after == 0.001
         assert state.temperature_estimate == 0.001
         assert state.floor_observations[1] == 30 / 30
+
+    def test_tipp_memory_is_updated_in_place(self):
+        # the one free spot is on the bottom floor, so the car scans
+        # several full floors and refits after each
+        garage = single_free_spot_garage(floor=10)
+        memory = TippState(temperature_estimate=0.5)
+        outcome, state = run_arrival(garage, PolicyKind.TIPP, TIMES, tipp_state=memory)
+        assert state is memory
+        assert len(outcome.floors_scanned) > 1
+        assert memory.floor_observations == {f: 1.0 for f in outcome.floors_scanned}
+        assert memory.temperature_estimate == outcome.temperature_estimate_after
+        assert memory.temperature_estimate != 0.5
 
     @pytest.mark.parametrize("temperature", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -244,8 +256,7 @@ class TestRunPolicySequence:
             runs = []
             for _ in range(2):
                 garage = Garage.from_temperature(10, 30, 0.5, seed=4)
-                runs.append(run_policy_sequence(garage, policy, 10, TIMES,
-                                                prior_temperature=0.5))
+                runs.append(run_policy_sequence(garage, policy, 10, TIMES))
             assert runs[0] == runs[1]
 
     def test_car_indices_sequential(self):
@@ -261,10 +272,21 @@ class TestRunPolicySequence:
                                        departure_prob=1.0)
         assert len(outcomes) == 6  # everyone leaves after each arrival
 
+    @pytest.mark.parametrize("temperature, totals", [
+        (0.1, {"benchmark": 4140, "inverse": 5400, "optimal": 2280, "tipp": 3480}),
+        (0.5, {"benchmark": 6930, "inverse": 5575, "optimal": 3210, "tipp": 4980}),
+        (1.0, {"benchmark": 8685, "inverse": 5900, "optimal": 3795, "tipp": 5850}),
+    ])
+    def test_reference_totals(self, temperature, totals):
+        # 10x30, seed 0, 30 cars, default times: cumulative seconds per policy
+        for policy in PolicyKind:
+            garage = Garage.from_temperature(10, 30, temperature, seed=0)
+            outcomes = run_policy_sequence(garage, policy, 30, TIMES)
+            assert sum(o.elapsed_time for o in outcomes) == totals[policy.value], policy
+
     def test_tipp_estimate_evolves_across_cars(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 5, TIMES,
-                                       prior_temperature=0.5)
+        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 5, TIMES)
         estimates = [o.temperature_estimate_after for o in outcomes]
         assert all(e is not None for e in estimates)
         assert len(set(estimates)) > 1
@@ -343,8 +365,7 @@ class TestOutcomeCsv:
 
     def test_tipp_rows_carry_the_estimate(self, tmp_path):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
-        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 2, TIMES,
-                                       prior_temperature=0.5)
+        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 2, TIMES)
         path = tmp_path / "tipp.csv"
         write_outcomes_csv(path, PolicyKind.TIPP, outcomes)
         for line in path.read_text().splitlines()[1:]:
