@@ -1,8 +1,6 @@
 """Temperature-informed parking: occupancy model, descent planner, simulator."""
 
 from .fitting import (
-    FitConfig,
-    FitDivergedError,
     FitResult,
     LotSurvey,
     SampleEfficiencyPoint,

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .fitting import (
-    FitConfig,
     fit_temperature,
     load_survey,
     sample_efficiency_curve,
     survey_to_observations,
 )
+from .model import T_MAX, T_MIN
 from .planner import GarageExhaustedError, TimeConstants
 from .simulator import (
     Garage,
@@ -53,7 +53,7 @@ class ScenarioConfig:
     temperature: float = 0.5
     num_cars: int = 30
     times: TimeConstants = field(default_factory=TimeConstants)
-    fit: FitConfig = field(default_factory=FitConfig)
+    initial_temperature: float = 0.5  # where the fit verbs start their descent
     policies: tuple = ALL_POLICIES
     seed: int = 0
     departure_prob: float = 0.0
@@ -68,15 +68,17 @@ class ScenarioConfig:
             raise ValueError("departure_prob must lie in [0, 1]")
         if not self.policies:
             raise ValueError("at least one policy is required")
+        if not T_MIN <= self.initial_temperature <= T_MAX:
+            raise ValueError(f"initial_temperature must lie in [{T_MIN}, {T_MAX}]")
 
 
 _SCENARIO_SCALARS = ("num_levels", "capacity_per_level", "temperature", "num_cars",
-                     "seed", "departure_prob", "output_dir")
+                     "seed", "departure_prob", "initial_temperature", "output_dir")
 _CONFIG_TYPES = {"num_levels": int, "capacity_per_level": int, "temperature": (int, float),
                  "num_cars": int, "seed": int, "departure_prob": (int, float),
-                 "output_dir": str, "times": dict, "fit": dict, "policies": (str, list)}
+                 "initial_temperature": (int, float), "output_dir": str, "times": dict,
+                 "policies": (str, list)}
 _TIME_FIELDS = ("t1", "t2", "t3")
-_FIT_FIELDS = ("learning_rate", "max_iterations", "gradient_tolerance", "initial_temperature")
 
 
 def _parse_policies(value) -> tuple:
@@ -85,6 +87,9 @@ def _parse_policies(value) -> tuple:
     policies = tuple(PolicyKind(p) for p in value)
     if not policies:
         raise ValueError("at least one policy is required")
+    for policy in policies:
+        if policies.count(policy) > 1:
+            raise ValueError(f"policy {policy.value!r} is listed more than once")
     return policies
 
 
@@ -100,12 +105,17 @@ def _load_config_file(path) -> dict:
         if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}: unknown config field {key!r}")
         _check_type(path, key, value, _CONFIG_TYPES[key])
-    for section, names in (("times", _TIME_FIELDS), ("fit", _FIT_FIELDS)):
-        for name, value in data.get(section, {}).items():
-            if name not in names:
-                raise ValueError(f"{path}: unknown config field '{section}.{name}'")
-            expected = int if name == "max_iterations" else (int, float)
-            _check_type(path, f"{section}.{name}", value, expected)
+    for name, value in data.get("times", {}).items():
+        if name not in _TIME_FIELDS:
+            raise ValueError(f"{path}: unknown config field 'times.{name}'")
+        _check_type(path, f"times.{name}", value, (int, float))
+    if "policies" in data:
+        for name in data["policies"] if isinstance(data["policies"], list) else ():
+            _check_type(path, "policies", name, str)
+        try:
+            data["policies"] = _parse_policies(data["policies"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: config field 'policies': {exc}") from None
     return data
 
 
@@ -132,22 +142,16 @@ def build_config(args) -> ScenarioConfig:
         scalars["output_dir"] = args.out
 
     times_kw = dict(data.get("times", {}))
-    fit_kw = dict(data.get("fit", {}))
     for name in _TIME_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
             times_kw[name] = flag
-    for name in _FIT_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            fit_kw[name] = flag
 
     policies = data.get("policies", ALL_POLICIES)
     if getattr(args, "policies", None) is not None:
-        policies = args.policies
+        policies = _parse_policies(args.policies)
 
-    return ScenarioConfig(times=TimeConstants(**times_kw), fit=FitConfig(**fit_kw),
-                          policies=_parse_policies(policies), **scalars)
+    return ScenarioConfig(times=TimeConstants(**times_kw), policies=policies, **scalars)
 
 
 def _run_policies(config: ScenarioConfig):
@@ -161,7 +165,7 @@ def _run_policies(config: ScenarioConfig):
         garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
                                          config.temperature, config.seed)
         outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
-                                       config.fit, departure_prob=config.departure_prob)
+                                       departure_prob=config.departure_prob)
         runs.append((policy, outcomes, config.num_cars - len(outcomes)))
     return runs
 
@@ -202,10 +206,10 @@ def cmd_sweep(config: ScenarioConfig, temperatures) -> int:
     return EXIT_SIMULATION if any_failures else EXIT_OK
 
 
-def cmd_fit(survey_path, fit_config: FitConfig, out_dir=None) -> int:
+def cmd_fit(survey_path, initial_temperature: float, out_dir=None) -> int:
     survey = load_survey(survey_path)
     energies, fills = survey_to_observations(survey)
-    result = fit_temperature(energies, fills, fit_config)
+    result = fit_temperature(energies, fills, initial_temperature)
     report = {
         "temperature": result.temperature,
         "final_loss": result.final_loss,
@@ -223,9 +227,9 @@ def cmd_fit(survey_path, fit_config: FitConfig, out_dir=None) -> int:
 
 
 def cmd_sample_curve(survey_path, sizes, trials: int, seed: int,
-                     fit_config: FitConfig, out_dir) -> int:
+                     initial_temperature: float, out_dir) -> int:
     survey = load_survey(survey_path)
-    points = sample_efficiency_curve(survey, sizes, trials, seed, fit_config)
+    points = sample_efficiency_curve(survey, sizes, trials, seed, initial_temperature)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["sample_size,mean_mse,std_mse"]
@@ -266,18 +270,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t1", type=float, help="floor scan time, seconds")
     parser.add_argument("--t2", type=float, help="walk-up time per floor, seconds")
     parser.add_argument("--t3", type=float, help="drive-down time per floor, seconds")
-    _add_step_flags(parser)
-
-
-def _add_step_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--learning-rate", dest="learning_rate", type=float)
-    parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--gradient-tolerance", dest="gradient_tolerance", type=float)
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    _add_step_flags(parser)
-    parser.add_argument("--initial-temperature", dest="initial_temperature", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated temperatures, e.g. 0.1,0.5,1.0")
 
     p = verb("fit", "fit a lot temperature from a survey CSV")
-    _add_fit_flags(p)
+    p.add_argument("--initial-temperature", dest="initial_temperature", type=float)
     p.add_argument("survey", help="survey CSV path")
 
     p = verb("sample-curve", "sample-efficiency curve for a survey")
-    _add_fit_flags(p)
+    p.add_argument("--initial-temperature", dest="initial_temperature", type=float)
     p.add_argument("survey", help="survey CSV path")
     p.add_argument("--sizes", type=_comma_ints, required=True,
                    help="comma-separated sample sizes, e.g. 5,10,20,50,105")
@@ -331,11 +323,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(build_config(args), args.temperatures)
         if args.command == "fit":
-            return cmd_fit(args.survey, build_config(args).fit, args.out)
+            return cmd_fit(args.survey, build_config(args).initial_temperature, args.out)
         if args.command == "sample-curve":
             config = build_config(args)
             return cmd_sample_curve(args.survey, args.sizes, args.trials, config.seed,
-                                    config.fit, config.output_dir)
+                                    config.initial_temperature, config.output_dir)
         if args.command == "render":
             return cmd_render(build_config(args))
         raise ValueError(f"unknown command {args.command!r}")

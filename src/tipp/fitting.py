@@ -13,6 +13,7 @@ analytic gradient
 (verified against central finite differences in the test suite).  The
 step size adapts by doubling/halving so the iterate only ever moves to
 a strictly lower loss; T is clamped to [T_MIN, T_MAX] after every step.
+The starting temperature is the fit's only setting.
 
 Also here: survey ingestion (CSV with one point of interest followed by
 spot rows), reduction of a survey to (energy, fill) observations via
@@ -32,32 +33,12 @@ from .model import T_MAX, T_MIN, EntropyParams, _q, spot_occupancy_prob
 _STEP_FLOOR = 1e-18
 #: Largest step size the doubling rule may reach.
 _STEP_CEIL = 1e9
-
-
-class FitDivergedError(RuntimeError):
-    """Raised when the descent produces a non-finite loss or gradient."""
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Hyperparameters of the 1-D gradient-descent fit."""
-
-    learning_rate: float = 0.05
-    max_iterations: int = 10_000
-    gradient_tolerance: float = 1e-8
-    initial_temperature: float = 0.5
-
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be positive and finite")
-        if not T_MIN <= self.initial_temperature <= T_MAX:
-            raise ValueError(
-                f"initial_temperature must lie in [{T_MIN}, {T_MAX}]"
-            )
+#: Step size of the first trial move.
+_STEP_START = 0.05
+#: Most accepted steps before the descent stops.
+_MAX_ITERATIONS = 10_000
+#: The descent stops once |dL/dT| is at most this.
+_GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,7 +132,9 @@ def mse_loss(temperature: float, energies, fills) -> float:
 
 def _loss_and_grad(t, energies, fills):
     # the kernel itself, not spot_occupancy_prob: _sorted_observations
-    # already validated the energies, and this runs once per trial step
+    # already validated the energies, and this runs once per trial step.
+    # Both stay finite: q <= 1 bounds the loss by 1, and _q caps E/T at 700,
+    # so q*E <= max(1400*T, 2e-304*E) and dq is finite for T >= T_MIN.
     q = _q(energies / t)
     resid = q - fills
     loss = float(np.mean(resid**2))
@@ -160,26 +143,24 @@ def _loss_and_grad(t, energies, fills):
     return loss, grad
 
 
-def fit_temperature(energies, fills, config: FitConfig | None = None) -> FitResult:
+def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitResult:
     """Fit the temperature by clamped gradient descent on the MSE.
 
-    Stops when |dL/dT| falls below the gradient tolerance, when the
-    iterate is pinned at a domain bound with the gradient pointing
-    outward, or after ``max_iterations`` steps.  Each accepted step
-    strictly decreases the loss, so the result never scores worse than
-    the starting temperature.
+    Starts at ``initial_temperature``.  Stops when |dL/dT| falls below
+    the gradient tolerance, when the iterate is pinned at a domain bound
+    with the gradient pointing outward, or after the iteration cap.  Each
+    accepted step strictly decreases the loss, so the result never
+    scores worse than the starting temperature.
     """
-    if config is None:
-        config = FitConfig()
+    if not T_MIN <= initial_temperature <= T_MAX:
+        raise ValueError(f"initial_temperature must lie in [{T_MIN}, {T_MAX}]")
     energies, fills = _sorted_observations(energies, fills)
-    t = float(config.initial_temperature)
+    t = float(initial_temperature)
     loss, grad = _loss_and_grad(t, energies, fills)
-    step = config.learning_rate
+    step = _STEP_START
     iterations = 0
-    while iterations < config.max_iterations:
-        if not (math.isfinite(loss) and math.isfinite(grad)):
-            raise FitDivergedError("fit diverged; try a smaller learning rate")
-        if abs(grad) <= config.gradient_tolerance:
+    while iterations < _MAX_ITERATIONS:
+        if abs(grad) <= _GRADIENT_TOLERANCE:
             break
         if (t <= T_MIN and grad > 0) or (t >= T_MAX and grad < 0):
             break  # pinned at a clamp bound, projected gradient is zero
@@ -206,14 +187,14 @@ def fit_temperature(energies, fills, config: FitConfig | None = None) -> FitResu
 
 
 def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: int,
-                            seed: int, config: FitConfig | None = None) -> list[SampleEfficiencyPoint]:
+                            seed: int, initial_temperature: float = 0.5) -> list[SampleEfficiencyPoint]:
     """Fit on random observation subsets, score the fit on the full lot.
 
     For each requested size, ``trials_per_size`` subsets are drawn
     without replacement; each trial's generator is derived from
     (seed, size, trial index) so results do not depend on evaluation
     order.  Reported per size: mean and standard deviation of the
-    full-lot MSE of the subset fits.
+    full-lot MSE of the subset fits, each started at ``initial_temperature``.
     """
     if trials_per_size < 1:
         raise ValueError("trials_per_size must be >= 1")
@@ -229,7 +210,7 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
         for trial in range(trials_per_size):
             rng = np.random.default_rng([seed, size, trial])
             idx = rng.choice(n, size=size, replace=False)
-            fit = fit_temperature(energies[idx], fills[idx], config)
+            fit = fit_temperature(energies[idx], fills[idx], initial_temperature)
             losses[trial] = mse_loss(fit.temperature, energies, fills)
         points.append(
             SampleEfficiencyPoint(size, float(losses.mean()), float(losses.std()))

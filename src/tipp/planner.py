@@ -23,11 +23,11 @@ and takes ``u(i)`` from the car's current floor ``i``.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import FitConfig, fit_temperature
+from .fitting import fit_temperature
 from .model import (
     T_MAX,
     T_MIN,
@@ -178,7 +178,7 @@ class TippPlan:
 
 
 def plan_parking(state: TippState, from_floor: int, shape: GarageShape,
-                 times: TimeConstants, fit_config: FitConfig | None = None) -> TippPlan:
+                 times: TimeConstants) -> TippPlan:
     """Re-estimate, re-solve, and pick the next floor below ``from_floor``
     (0 = entrance).
 
@@ -190,16 +190,13 @@ def plan_parking(state: TippState, from_floor: int, shape: GarageShape,
     n = shape.num_levels
     if from_floor >= n:
         raise GarageExhaustedError("garage exhausted: no floor below the current one")
-    if fit_config is None:
-        fit_config = FitConfig()
     temperature = state.temperature_estimate
     if state.floor_observations:
         # level_energy, not level_energies(n)[f - 1]: the two round (f/n)**2
         # 1 ulp apart for some f and n (first at n = 41), which moves fits
         energies = [level_energy(floor, n) for floor in state.floor_observations]
         fills = list(state.floor_observations.values())
-        warm = replace(fit_config, initial_temperature=temperature)
-        temperature = fit_temperature(energies, fills, warm).temperature
+        temperature = fit_temperature(energies, fills, temperature).temperature
     q = spot_occupancy_prob(level_energies(n), EntropyParams(temperature))
     availability = level_availability_prob(q, shape.capacity_per_level)
     solution = solve_dp(availability, times)

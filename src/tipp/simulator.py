@@ -24,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 
-from .fitting import FitConfig
 from .model import EntropyParams, level_energies, level_fill_count, spot_occupancy_prob
 from .planner import (
     GarageExhaustedError,
@@ -144,7 +143,6 @@ class Garage:
 
 
 def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None = None,
-                fit_config: FitConfig | None = None,
                 tipp_state: TippState | None = None,
                 car_index: int = 0) -> tuple[ArrivalOutcome, TippState | None]:
     """Drive one car through the garage under a policy.
@@ -171,7 +169,7 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
         if state is None:
             state = TippState(temperature_estimate=garage.init_temperature
                               if garage.init_temperature is not None else 0.5)
-        floors = _tipp_floors(garage, times, fit_config, state)
+        floors = _tipp_floors(garage, times, state)
 
     scanned = []
     for floor in floors:
@@ -188,8 +186,7 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
         f"garage exhausted: {policy.value} car {car_index} found no spot")
 
 
-def _tipp_floors(garage: Garage, times: TimeConstants, fit_config: FitConfig | None,
-                 state: TippState):
+def _tipp_floors(garage: Garage, times: TimeConstants, state: TippState):
     """Yield the closed loop's floors, re-planning from each full one.
 
     Each plan refits ``state.temperature_estimate`` from the fills that
@@ -198,7 +195,7 @@ def _tipp_floors(garage: Garage, times: TimeConstants, fit_config: FitConfig | N
     """
     here = 0
     while here < garage.num_levels:
-        plan = plan_parking(state, here, garage.shape, times, fit_config)
+        plan = plan_parking(state, here, garage.shape, times)
         state.temperature_estimate = plan.temperature
         here = plan.next_floor
         yield here
@@ -206,7 +203,6 @@ def _tipp_floors(garage: Garage, times: TimeConstants, fit_config: FitConfig | N
 
 def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
                         times: TimeConstants | None = None,
-                        fit_config: FitConfig | None = None,
                         departure_prob: float = 0.0) -> list[ArrivalOutcome]:
     """Insert cars sequentially under one policy.
 
@@ -223,8 +219,8 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     outcomes = []
     for car in range(num_cars):
         try:
-            outcome, state = run_arrival(garage, policy, times, fit_config,
-                                         tipp_state=state, car_index=car)
+            outcome, state = run_arrival(garage, policy, times, tipp_state=state,
+                                         car_index=car)
         except GarageExhaustedError:
             break
         outcomes.append(outcome)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import tipp
 from tipp import LotSurvey, save_survey, synthetic_survey
-from tipp.cli import main
+from tipp.cli import build_parser, main
 
 HEADER = ("car_index,policy,floors_scanned,parked_floor,spot_index,"
           "elapsed_seconds,cumulative_seconds,temperature_estimate")
@@ -68,6 +69,17 @@ class TestSimulate:
         assert main(["simulate", "--out", str(tmp_path / "x"),
                      "--temperature", "99"]) == 2
 
+    def test_repeated_policy_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["simulate", "--out", str(out), "--policies", "tipp,optimal,tipp"]) == 2
+        assert "'tipp'" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policies": ["benchmark", "benchmark"]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'benchmark'" in err and str(cfg) in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, tmp_path):
@@ -94,9 +106,9 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"num_car": 4}))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "unknown config field" in capsys.readouterr().err
-        cfg.write_text(json.dumps({"fit": {"learning_rat": 0.1}}))
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "unknown config field 'fit.learning_rat'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"fit": {"initial_temperature": 0.7}}))
+        assert main(["fit", "lot.csv", "--config", str(cfg)]) == 2
+        assert "unknown config field 'fit'" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -110,7 +122,9 @@ class TestConfigFile:
         ({"num_levels": "ten"}, "num_levels"),
         ({"seed": "x"}, "seed"),
         ({"times": {"t1": True}}, "times.t1"),
-        ({"fit": {"max_iterations": 2.5}}, "fit.max_iterations"),
+        ({"initial_temperature": "x"}, "initial_temperature"),
+        ({"policies": [5]}, "policies"),
+        ({"policies": ["psychic"]}, "policies"),
     ])
     def test_mistyped_field_is_usage_error(self, tmp_path, capsys, data, field):
         cfg = tmp_path / "cfg.json"
@@ -118,17 +132,37 @@ class TestConfigFile:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert repr(field) in err
+        assert str(cfg) in err
         assert "Traceback" not in err
+
+    def test_non_string_policy_is_a_type_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policies": ["tipp", 5]}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert (f"{cfg}: config field 'policies' has the wrong type (int)"
+                in capsys.readouterr().err)
 
     def test_fit_reads_fit_fields_and_writes_nothing_without_out(self, tmp_path, capsys,
                                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
         save_survey(synthetic_survey(105, 0.5, seed=42), "lot.csv")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fit": {"max_iterations": 1}}))
+        cfg.write_text(json.dumps({"initial_temperature": 0.7}))
         assert main(["fit", "lot.csv", "--config", str(cfg)]) == 0
-        assert json.loads(capsys.readouterr().out)["iterations"] == 1
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(["fit", "lot.csv", "--initial-temperature", "0.7"]) == 0
+        assert json.loads(capsys.readouterr().out) == from_file
+        assert main(["fit", "lot.csv"]) == 0
+        assert json.loads(capsys.readouterr().out) != from_file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "lot.csv"]
+
+    def test_out_of_domain_initial_temperature_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial_temperature": 11}))
+        for verb in (["simulate"], ["sweep", "--temperatures", "0.5"], ["render"]):
+            assert main([*verb, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert "initial_temperature" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweep:
@@ -158,8 +192,7 @@ class TestSweep:
         assert "temperature" in capsys.readouterr().err
 
 
-RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2", "--t3",
-                  "--learning-rate", "--max-iterations", "--gradient-tolerance"]
+RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2", "--t3"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -168,12 +201,35 @@ RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2"
     ["sweep", "--temperatures", "0.5", "--temperature", "0.9"],
     ["sweep", "--temperatures", "0.5", "--initial-temperature", "9"],
     ["simulate", "--initial-temperature", "9"],
+    ["simulate", "--learning-rate", "1"],
+    ["sweep", "--temperatures", "0.5", "--max-iterations", "5"],
+    ["fit", "lot.csv", "--gradient-tolerance", "1"],
 ])
 def test_flag_the_verb_does_not_read_is_usage_error(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out"}
+GARAGE_FLAGS = {"--num-levels", "--capacity-per-level"}
+RUN_FLAGS = set(RUN_ONLY_FLAGS)
+
+
+def test_each_verb_takes_exactly_its_flags():
+    # every option is design cost: adding one must show up here
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {verb: {s for a in p._actions for s in a.option_strings}
+             for verb, p in subparsers.choices.items()}
+    assert flags == {
+        "simulate": COMMON_FLAGS | GARAGE_FLAGS | RUN_FLAGS | {"--temperature"},
+        "sweep": COMMON_FLAGS | GARAGE_FLAGS | RUN_FLAGS | {"--temperatures"},
+        "fit": COMMON_FLAGS | {"--initial-temperature"},
+        "sample-curve": COMMON_FLAGS | {"--initial-temperature", "--sizes", "--trials"},
+        "render": COMMON_FLAGS | GARAGE_FLAGS | {"--temperature"},
+    }
 
 
 class TestFit:
@@ -209,12 +265,12 @@ class TestFit:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
 
-    @pytest.mark.parametrize("flag", ["--learning-rate", "--gradient-tolerance"])
-    def test_non_finite_fit_setting_is_usage_error(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_fit_setting_is_usage_error(self, tmp_path, capsys, value):
         path = tmp_path / "lot.csv"
         save_survey(synthetic_survey(105, 0.5, seed=42), path)
-        assert main(["fit", str(path), flag, "nan"]) == 2
-        assert "finite" in capsys.readouterr().err
+        assert main(["fit", str(path), "--initial-temperature", value]) == 2
+        assert "initial_temperature" in capsys.readouterr().err
 
 
 class TestSampleCurve:

@@ -8,7 +8,6 @@ from tipp import (
     T_MAX,
     T_MIN,
     EntropyParams,
-    FitConfig,
     LotSurvey,
     fit_temperature,
     load_survey,
@@ -19,7 +18,7 @@ from tipp import (
     survey_to_observations,
     synthetic_survey,
 )
-from tipp.fitting import _loss_and_grad
+from tipp.fitting import _loss_and_grad, _sorted_observations
 
 from oracles import central_difference, grid_search_temperature
 
@@ -110,7 +109,7 @@ class TestGradient:
 
 class TestFitTemperature:
     def test_noiseless_recovery(self):
-        res = fit_temperature(*noiseless_observations(0.5), FitConfig(initial_temperature=1.5))
+        res = fit_temperature(*noiseless_observations(0.5), 1.5)
         assert abs(res.temperature - 0.5) < 1e-4
         assert res.final_loss < 1e-12
 
@@ -175,7 +174,7 @@ class TestFitTemperature:
     @settings(max_examples=60, deadline=None)
     def test_never_worse_than_start(self, pairs, start):
         energies, fills = np.array(pairs).T
-        res = fit_temperature(energies, fills, FitConfig(initial_temperature=start))
+        res = fit_temperature(energies, fills, start)
         assert res.final_loss <= mse_loss(start, energies, fills) + 1e-15
 
     def test_result_always_in_domain(self):
@@ -184,29 +183,49 @@ class TestFitTemperature:
             res = fit_temperature(rng.uniform(0, 1, 8), rng.integers(0, 2, 8))
             assert T_MIN <= res.temperature <= T_MAX
 
+    @pytest.mark.parametrize("energies", [[0.0], [1.0], [1e300], [1.7e308],
+                                          [0.0, 1.0, 1e300, 1.7e308]])
+    @pytest.mark.parametrize("fill", [0.0, 1.0])
+    @pytest.mark.parametrize("start", [T_MIN, 1.0, T_MAX])
+    def test_loss_and_gradient_stay_finite(self, energies, fill, start):
+        # the fit has no divergence check: q <= 1 bounds the loss, and E/T
+        # capped at 700 keeps q*E/T**2 finite for every finite energy.
+        # E/T itself may overflow to inf before the cap, hence errstate.
+        fills = np.full(len(energies), fill)
+        with np.errstate(over="ignore"):
+            res = fit_temperature(energies, fills, start)
+            start_loss = mse_loss(start, energies, fills)
+            for t in (start, res.temperature):
+                loss, grad = _loss_and_grad(t, *_sorted_observations(energies, fills))
+                assert np.isfinite(loss) and np.isfinite(grad)
+        assert np.isfinite(res.final_loss)
+        assert res.final_loss <= start_loss
+        assert T_MIN <= res.temperature <= T_MAX
+
 
 class TestFitConfig:
+    """The fit's one setting is where it starts: ``initial_temperature``."""
+
     def test_defaults(self):
-        cfg = FitConfig()
-        assert cfg.learning_rate == 0.05
-        assert cfg.max_iterations == 10_000
-        assert cfg.gradient_tolerance == 1e-8
-        assert cfg.initial_temperature == 0.5
+        energies, fills = noiseless_observations(0.8)
+        assert fit_temperature(energies, fills) == fit_temperature(energies, fills, 0.5)
+        for start in (T_MIN, T_MAX):  # the domain bounds are valid starts
+            assert T_MIN <= fit_temperature(energies, fills, start).temperature <= T_MAX
 
     @pytest.mark.parametrize("kw", [
-        {"learning_rate": 0.0},
-        {"max_iterations": 0},
-        {"gradient_tolerance": -1.0},
         {"initial_temperature": 0.0},
+        {"initial_temperature": -1.0},
+        {"initial_temperature": T_MIN / 2},
+        {"initial_temperature": T_MIN * (1 - 1e-12)},
         {"initial_temperature": T_MAX + 1},
-        {"learning_rate": float("nan")},
-        {"learning_rate": float("inf")},
-        {"gradient_tolerance": float("nan")},
-        {"gradient_tolerance": float("inf")},
+        {"initial_temperature": T_MAX * (1 + 1e-12)},
+        {"initial_temperature": float("nan")},
+        {"initial_temperature": float("inf")},
+        {"initial_temperature": float("-inf")},
     ])
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
-            FitConfig(**kw)
+        with pytest.raises(ValueError, match="initial_temperature"):
+            fit_temperature([0.5], [0.5], **kw)
 
 
 class TestObservation:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tipp import (
     T_MAX,
     EntropyParams,
-    FitConfig,
     GarageExhaustedError,
     GarageShape,
     TimeConstants,
@@ -228,7 +227,7 @@ class TestTippDecide:
         # a single fractional observation has an exact-fit temperature;
         # the refit must land there regardless of the prior
         state = TippState(temperature_estimate=2.0, floor_observations={5: 0.5})
-        plan = plan_parking(state, 0, self.SHAPE, TIMES, FitConfig())
+        plan = plan_parking(state, 0, self.SHAPE, TIMES)
         energy = level_energies(10)[4]
         expected = energy / np.log(2.0 / 0.5 - 1.0)
         assert plan.temperature == pytest.approx(expected, rel=1e-4)
@@ -238,6 +237,5 @@ class TestTippDecide:
         # square) can differ by 1 ulp; the refit keeps the scalar values
         state = TippState(temperature_estimate=0.5, floor_observations={33: 0.6, 5: 0.9})
         plan = plan_parking(state, 0, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
-        expected = fit_temperature([level_energy(5, 41), level_energy(33, 41)], [0.9, 0.6],
-                                   FitConfig(initial_temperature=0.5))
+        expected = fit_temperature([level_energy(5, 41), level_energy(33, 41)], [0.9, 0.6], 0.5)
         assert plan.temperature == expected.temperature
