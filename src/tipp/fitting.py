@@ -115,9 +115,9 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("energies and fills must be 1-D arrays of equal length")
     if e.size == 0:
         raise ValueError("observations must be non-empty")
-    if not np.all(np.isfinite(e) & (e >= 0)):
+    if not (e.min() >= 0 and e.max() < math.inf):  # NaN fails both
         raise ValueError("energies must be finite and non-negative")
-    if not np.all((f >= 0) & (f <= 1)):
+    if not (f.min() >= 0 and f.max() <= 1):
         raise ValueError("fills must lie in [0, 1]")
     order = np.lexsort((f, e))
     return e[order], f[order]

@@ -64,10 +64,12 @@ def spot_occupancy_prob(energy, params: EntropyParams):
     energy and, for E > 0, strictly increasing in temperature.
     """
     e = np.asarray(energy, dtype=float)
-    if not np.all(np.isfinite(e)):
-        raise ValueError("energy must be finite")
-    if np.any(e < 0):
-        raise ValueError("energy must be non-negative")
+    if e.size:
+        lo, hi = e.min(), e.max()  # NaN propagates into both
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValueError("energy must be finite")
+        if lo < 0:
+            raise ValueError("energy must be non-negative")
     q = _q(e / params.temperature)
     if np.ndim(energy) == 0:
         return float(q)
@@ -116,7 +118,7 @@ def level_availability_prob(q, capacity: int):
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     qa = np.asarray(q, dtype=float)
-    if not np.all((qa >= 0) & (qa <= 1)):
+    if qa.size and not (qa.min() >= 0 and qa.max() <= 1):  # NaN fails both
         raise ValueError("q must lie in [0, 1]")
     p = 1.0 - np.power(qa, capacity)
     if np.ndim(q) == 0:

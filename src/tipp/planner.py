@@ -101,31 +101,54 @@ class DpSolution:
 def solve_dp(availability, times: TimeConstants) -> DpSolution:
     """Solve the descent program for one availability vector.
 
-    ``availability`` lists p_1..p_N.  Runs bottom-up in O(N^2).  The
-    deepest floor's value is the boundary t1 + N*t2 regardless of p_N.
+    ``availability`` lists p_1..p_N.  The deepest floor's value is the
+    boundary t1 + N*t2 regardless of p_N.
+
+    One backward pass carries the suffix minimum: the candidates for
+    floor i are those for floor i + 1 plus j = i + 1, so only j = i + 1
+    is compared with the running best, and a solve is O(N).  Every cost
+    is computed in the recurrence's own form (j - i) * t3 + f(j), not as
+    j*t3 + f(j) - i*t3, and the new j wins on ``<=``, so ties go to the
+    smallest j, the nearest floor.  Rounding can still reorder two j
+    whose costs differ by a few ulps once i moves, so such near ties are
+    kept and re-compared at every floor; f, u and the entrance value are
+    thus bit-identical to a full scan of every j > i at each floor, as
+    long as the costs stay finite.
     """
     p = np.asarray(availability, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("availability must be a non-empty 1-D sequence")
-    if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
+    if not (p.min() >= 0 and p.max() <= 1):  # NaN fails both comparisons
         raise ValueError("availability entries must lie in [0, 1]")
     n = p.size
     t1, t2, t3 = times.t1, times.t2, times.t3
 
-    f = np.empty(n + 1)  # f[i] for floors 1..N; f[0] unused
-    u = np.empty(n, dtype=int)  # u[i] for i = 0..N-1
+    probs = p.tolist()
+    # f[i] for floors 1..N; f[0] unused; f[N+1] = inf, no floor below N
+    f = [0.0] * (n + 1) + [math.inf]
+    u = [0] * n  # u[i] for i = 0..N-1
     f[n] = t1 + n * t2
-    for i in range(n - 1, 0, -1):
-        js = np.arange(i + 1, n + 1)
-        costs = (js - i) * t3 + f[i + 1:]
-        k = int(np.argmin(costs))  # first minimum = smallest j
-        u[i] = i + 1 + k
-        f[i] = p[i - 1] * (t1 + i * t2) + (1.0 - p[i - 1]) * (t1 + costs[k])
-    entrance_costs = np.arange(1, n + 1) * t3 + f[1:]
-    k = int(np.argmin(entrance_costs))
-    u[0] = 1 + k
-    return DpSolution(values=f[1:].copy(), actions=u,
-                      entrance_value=float(entrance_costs[k]))
+    # Every cost is below 3N(t1 + t2 + t3) and rounds off by at most
+    # 2**-52 of that, so a j costlier than the best by more than tol can
+    # never round to the minimum at this floor or any floor above it.
+    tol = 3 * n * (t1 + t2 + t3) * 2.0**-48
+    best, close = n + 1, []  # close: other j within tol of the best
+    for i in range(n - 1, -1, -1):
+        cost = (best - i) * t3 + f[best]
+        near = t3 + f[i + 1]  # the same form at j = i + 1
+        if close or abs(near - cost) <= tol:
+            js = [i + 1, *sorted([best, *close])]
+            costs = [(j - i) * t3 + f[j] for j in js]
+            cost = min(costs)
+            best = js[costs.index(cost)]  # js ascend: the smallest j
+            close = [j for j, c in zip(js, costs) if c - cost <= tol and j != best]
+        elif near <= cost:
+            best, cost = i + 1, near
+        u[i] = best
+        if i:
+            f[i] = probs[i - 1] * (t1 + i * t2) + (1.0 - probs[i - 1]) * (t1 + cost)
+    return DpSolution(values=np.array(f[1:n + 1]), actions=np.array(u, dtype=int),
+                      entrance_value=cost)
 
 
 def total_time(floors, times: TimeConstants) -> float:

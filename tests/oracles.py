@@ -3,7 +3,8 @@
 These deliberately re-derive results through different routes than the
 library: occupancy via a direct formula expression, temperature fitting
 via dense grid search, the descent program via exhaustive enumeration of
-committed itineraries, and the time law via per-segment accounting.
+committed itineraries and via a full O(N^2) scan of every j > i, and the
+time law via per-segment accounting.
 """
 
 import itertools
@@ -75,6 +76,28 @@ def enumerate_best_itinerary(availability, t1, t2, t3):
             if t < best:
                 best, best_seq = t, seq
     return best, best_seq
+
+
+def solve_dp_reference(availability, times):
+    """The descent program by a full scan of every j > i at each floor,
+    O(N^2); returns (values, actions, entrance_value) like ``DpSolution``."""
+    p = np.asarray(availability, dtype=float)
+    n = p.size
+    t1, t2, t3 = times.t1, times.t2, times.t3
+
+    f = np.empty(n + 1)  # f[i] for floors 1..N; f[0] unused
+    u = np.empty(n, dtype=int)  # u[i] for i = 0..N-1
+    f[n] = t1 + n * t2
+    for i in range(n - 1, 0, -1):
+        js = np.arange(i + 1, n + 1)
+        costs = (js - i) * t3 + f[i + 1:]
+        k = int(np.argmin(costs))  # first minimum = smallest j
+        u[i] = i + 1 + k
+        f[i] = p[i - 1] * (t1 + i * t2) + (1.0 - p[i - 1]) * (t1 + costs[k])
+    entrance_costs = np.arange(1, n + 1) * t3 + f[1:]
+    k = int(np.argmin(entrance_costs))
+    u[0] = 1 + k
+    return f[1:].copy(), u, float(entrance_costs[k])
 
 
 def segment_accounting(itinerary, t1, t2, t3):

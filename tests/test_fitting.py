@@ -247,6 +247,27 @@ class TestObservation:
         with pytest.raises(ValueError):
             mse_loss(0.5, **kw)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_rejects_bad_energy_in_array(self, bad, where):
+        energies = np.array([0.5, 0.0, 1.0])
+        energies[where] = bad
+        fills = [0.5, 1.0, 0.0]
+        with pytest.raises(ValueError, match="energies must be finite and non-negative"):
+            fit_temperature(energies, fills)
+        with pytest.raises(ValueError, match="energies must be finite and non-negative"):
+            mse_loss(0.5, energies, fills)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.01])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_rejects_bad_fill_in_array(self, bad, where):
+        fills = np.array([0.5, 1.0, 0.0])
+        fills[where] = bad
+        with pytest.raises(ValueError, match=r"fills must lie in \[0, 1\]"):
+            fit_temperature([0.5, 0.0, 1.0], fills)
+        with pytest.raises(ValueError, match=r"fills must lie in \[0, 1\]"):
+            mse_loss(0.5, [0.5, 0.0, 1.0], fills)
+
 
 class TestSampleEfficiencyCurve:
     def test_full_lot_sample_has_zero_spread(self):

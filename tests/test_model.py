@@ -67,6 +67,26 @@ class TestSpotOccupancyProb:
         with pytest.raises(ValueError):
             spot_occupancy_prob(np.array([0.5, -0.1]), params(0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_rejects_non_finite_energy_in_array(self, bad, where):
+        energy = np.array([0.5, 0.0, 1.0])
+        energy[where] = bad
+        with pytest.raises(ValueError, match="energy must be finite"):
+            spot_occupancy_prob(energy, params(0.5))
+
+    def test_negative_energy_message(self):
+        with pytest.raises(ValueError, match="energy must be non-negative"):
+            spot_occupancy_prob(np.array([0.5, -0.1, 1.0]), params(0.5))
+
+    def test_non_finite_is_reported_before_negative(self):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            spot_occupancy_prob(np.array([-0.1, float("nan")]), params(0.5))
+
+    def test_empty_array_gives_empty_array(self):
+        q = spot_occupancy_prob(np.array([]), params(0.5))
+        assert isinstance(q, np.ndarray) and q.shape == (0,)
+
     def test_cold_edge_is_finite_without_overflow(self):
         # E/T reaches 1e3 at the coldest temperature, where exp(E/T)
         # would overflow a float64 without the kernel's cap
@@ -189,6 +209,18 @@ class TestLevelAvailabilityProb:
             level_availability_prob(float("nan"), 30)
         with pytest.raises(ValueError):
             level_availability_prob(0.5, 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_rejects_non_finite_q_in_array(self, bad, where):
+        q = np.array([0.5, 0.0, 1.0])
+        q[where] = bad
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            level_availability_prob(q, 30)
+
+    def test_empty_array_gives_empty_array(self):
+        p = level_availability_prob(np.array([]), 30)
+        assert isinstance(p, np.ndarray) and p.shape == (0,)
 
     @given(st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=1e-3, max_value=0.5),

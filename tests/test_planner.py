@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,34 @@ from tipp import (
     total_time,
 )
 
-from oracles import enumerate_best_itinerary, segment_accounting
+import tipp.planner
+from oracles import enumerate_best_itinerary, segment_accounting, solve_dp_reference
 
 TIMES = TimeConstants(t1=30.0, t2=10.0, t3=5.0)
+
+#: Time sets for the full-scan comparison: the defaults, an exact tie
+#: (see test_ties_break_toward_the_nearest_floor), unit times, and
+#: non-integer times whose products (j - i) * t3 round.
+DP_TIMES = (
+    TIMES,
+    TimeConstants(t1=30.0, t2=10.0, t3=20.0),
+    TimeConstants(t1=1.0, t2=1.0, t3=1.0),
+    TimeConstants(t1=20.0, t2=7.0, t3=36.0),
+    TimeConstants(t1=0.1, t2=0.3, t3=0.7),
+    TimeConstants(t1=6.457410151540426, t2=3.7707889759985385, t3=3.6092800531039817),
+)
+
+
+def draw_availability(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    pools = {
+        "uniform": rng.uniform(0.0, 1.0, n),
+        "ties": rng.choice([0.0, 0.5, 1.0], n),
+        "near_one": 1.0 - rng.uniform(0.0, 1e-6, n),
+    }
+    if kind == "mixed":
+        return np.choose(rng.integers(0, 3, n), list(pools.values()))
+    return pools[kind]
 
 
 class TestTimeConstants:
@@ -118,6 +145,43 @@ class TestSolveDp:
     def test_rejects_bad_availability(self, bad):
         with pytest.raises(ValueError):
             solve_dp(bad, TIMES)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_rejects_non_finite_availability_in_array(self, bad, where):
+        p = np.array([0.5, 0.0, 1.0])
+        p[where] = bad
+        with pytest.raises(ValueError, match=r"availability entries must lie in \[0, 1\]"):
+            solve_dp(p, TIMES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=300),
+           st.sampled_from(["uniform", "ties", "near_one", "mixed"]),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from(DP_TIMES))
+    def test_equals_the_full_scan_bit_for_bit(self, n, kind, seed, times):
+        p = draw_availability(kind, n, seed)
+        sol = solve_dp(p, times)
+        values, actions, entrance_value = solve_dp_reference(p, times)
+        assert sol.values.dtype == values.dtype
+        assert sol.actions.dtype == actions.dtype
+        assert sol.values.tobytes() == values.tobytes()
+        assert sol.actions.tobytes() == actions.tobytes()
+        assert sol.entrance_value == entrance_value
+
+    def test_near_tie_is_decided_like_the_full_scan(self):
+        # from floor 2, floor 4 beats floor 3 by one ulp (120.0 against
+        # 120.00000000000001); from floor 1 and the entrance the two costs
+        # round to the same value and the tie goes to floor 3.  A pass that
+        # carried only the best j from floor 2 would keep floor 4.
+        times = TimeConstants(t1=20.0, t2=7.0, t3=36.0)
+        p = [0.0341518314783128, 0.046146706503778945, 0.31746031746031733, 0.348147831461306]
+        sol = solve_dp(p, times)
+        values, actions, entrance_value = solve_dp_reference(p, times)
+        assert actions.tolist() == [3, 3, 4, 4]
+        assert sol.actions.tolist() == [3, 3, 4, 4]
+        assert sol.values.tobytes() == values.tobytes()
+        assert sol.entrance_value == entrance_value
 
 
 class TestTotalTime:
@@ -231,6 +295,27 @@ class TestTippDecide:
         energy = level_energies(10)[4]
         expected = energy / np.log(2.0 / 0.5 - 1.0)
         assert plan.temperature == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("observations, fits", [({}, 0), ({3: 0.5, 7: 1.0}, 1)])
+    def test_each_layer_is_called_through_the_planner_module(self, monkeypatch,
+                                                            observations, fits):
+        # bench/spans.py times these layers by replacing tipp.planner's
+        # attributes, so plan_parking must call them through the module
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fit_temperature", "solve_dp", "spot_occupancy_prob",
+                     "level_availability_prob"):
+            monkeypatch.setattr(tipp.planner, name, counting(name, getattr(tipp.planner, name)))
+        state = TippState(temperature_estimate=0.5, floor_observations=observations)
+        plan_parking(state, 0, self.SHAPE, TIMES)
+        assert calls == Counter({"fit_temperature": fits, "solve_dp": 1,
+                                 "spot_occupancy_prob": 1, "level_availability_prob": 1})
 
     def test_refit_sees_the_scalar_floor_energies(self):
         # level_energy(33, 41) (libm pow) and level_energies(41)[32] (numpy

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,20 @@ class TestRunPolicySequence:
             garage = Garage.from_temperature(10, 30, temperature, seed=0)
             outcomes = run_policy_sequence(garage, policy, 30, TIMES)
             assert sum(o.elapsed_time for o in outcomes) == totals[policy.value], policy
+
+    def test_tipp_pin_on_a_deep_garage(self, tmp_path):
+        # 50x200, T=1.0, seed 0, 62 cars, default times: the N=50 descent
+        # program is re-solved at every full floor.  The figures were taken
+        # from the full-scan O(N^2) solve_dp, before the suffix-minimum
+        # pass replaced it.
+        garage = Garage.from_temperature(50, 200, 1.0, seed=0)
+        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 62, TIMES)
+        assert sum(o.elapsed_time for o in outcomes) == 22755.0
+        assert outcomes[-1].temperature_estimate_after == 4.119236934733646
+        path = tmp_path / "tipp_percar.csv"
+        write_outcomes_csv(path, PolicyKind.TIPP, outcomes)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "900b44f62b7a498db91d57671b76e2301bac9873632a3a8f831306622595da11")
 
     def test_tipp_estimate_evolves_across_cars(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
