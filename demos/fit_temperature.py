@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Estimate a lot's temperature from surveyed occupancy.
 
-Generates a synthetic 105-spot lot, fits the temperature by gradient
-descent on the occupancy MSE, and shows the sample-efficiency story:
+Generates a synthetic 105-spot lot, fits the temperature by a Newton
+method in log T on the occupancy MSE, and shows the sample-efficiency story:
 a fit from 10 random spots already scores close to the full-data fit.
 """
 
@@ -24,7 +24,8 @@ print(f"Synthetic lot: 105 spots, {occupied:.0f} occupied, "
 
 result = fit_temperature(energies, fills)
 print(f"Full-data fit: T = {result.temperature:.4f} "
-      f"(loss {result.final_loss:.4f}, {result.iterations} iterations)")
+      f"(loss {result.final_loss:.4f}, {result.iterations} iterations, "
+      f"stopped: {result.stop_reason})")
 print(f"MSE at the fitted temperature: {mse_loss(result.temperature, energies, fills):.4f}")
 print("The residual MSE is the Bernoulli noise floor, not model error.\n")
 

@@ -18,7 +18,6 @@ from .model import (
     EntropyParams,
     level_availability_prob,
     level_energies,
-    level_energy,
     level_fill_count,
     spot_occupancy_prob,
 )

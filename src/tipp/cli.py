@@ -216,6 +216,7 @@ def cmd_fit(survey_path, initial_temperature: float, out_dir=None) -> int:
         "iterations": result.iterations,
         "n_observations": len(energies),
         "clamped": result.clamped,
+        "stop_reason": result.stop_reason,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)

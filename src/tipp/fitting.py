@@ -4,16 +4,20 @@ Observations are two equal-length float arrays, ``energies`` and
 ``fills``: entry i pairs a spot (or floor) energy with the occupancy
 seen there, 1/0 for a single surveyed spot or occupied/capacity for a
 whole floor.  The lot temperature is fitted by minimising the mean
-squared error between the model occupancy q(E, T) and the observed
-fills, using gradient descent on the single parameter T with the
-analytic gradient
+squared error L between the model occupancy q(E, T) and the observed
+fills, with a safeguarded Newton method in u = log T.  With x = E/T,
+s = q (1 - q/2) and r = q - fill, the analytic derivatives are
 
-    dq/dT = q * (1 - q/2) * E / T**2
+    dq/du   = s x
+    d2q/du2 = dq/du ((1 - q) x - 1)
+    L'      = mean(2 r dq/du)
+    L''     = mean(2 (dq/du)**2 + 2 r d2q/du2)
 
-(verified against central finite differences in the test suite).  The
-step size adapts by doubling/halving so the iterate only ever moves to
-a strictly lower loss; T is clamped to [T_MIN, T_MAX] after every step.
-The starting temperature is the fit's only setting.
+(verified against central finite differences in the test suite).  Each
+step moves u by -L'/L'' where L'' > 0 and by one unit down the gradient
+elsewhere, at most one unit either way, and halves the move until the
+loss strictly drops; T is clamped to [T_MIN, T_MAX].  The starting
+temperature is the fit's only setting.
 
 Also here: survey ingestion (CSV with one point of interest followed by
 spot rows), reduction of a survey to (energy, fill) observations via
@@ -29,23 +33,25 @@ import numpy as np
 
 from .model import T_MAX, T_MIN, EntropyParams, _q, spot_occupancy_prob
 
-#: Smallest step size tried before the line search gives up.
-_STEP_FLOOR = 1e-18
-#: Largest step size the doubling rule may reach.
-_STEP_CEIL = 1e9
-#: Step size of the first trial move.
-_STEP_START = 0.05
-#: Most accepted steps before the descent stops.
+#: Smallest move in u = log T the fit resolves: a Newton step no longer
+#: than this has converged, and the line search halves down to it.
+_RESOLUTION = 1e-9
+#: Most accepted steps before the fit stops.
 _MAX_ITERATIONS = 10_000
-#: The descent stops once |dL/dT| is at most this.
-_GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted temperature, the loss there, the accepted steps, and why
+    the fit stopped: ``"converged"`` (the Newton step fell below the
+    resolution), ``"pinned"`` (at a domain bound, the gradient pointing
+    outward), ``"no_improving_step"`` (no move down to the resolution
+    lowers the loss) or ``"max_iterations"``."""
+
     temperature: float
     final_loss: float
     iterations: int
+    stop_reason: str
 
     @property
     def clamped(self) -> bool:
@@ -125,65 +131,92 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
 
 def mse_loss(temperature: float, energies, fills) -> float:
     """Mean squared error between model occupancy and observed fills."""
-    energies, fills = _sorted_observations(energies, fills)
-    q = spot_occupancy_prob(energies, EntropyParams(temperature))
-    return float(np.mean((q - fills) ** 2))
+    temperature = EntropyParams(temperature).temperature
+    return _loss(temperature, *_sorted_observations(energies, fills))
 
 
-def _loss_and_grad(t, energies, fills):
-    # the kernel itself, not spot_occupancy_prob: _sorted_observations
-    # already validated the energies, and this runs once per trial step.
-    # Both stay finite: q <= 1 bounds the loss by 1, and _q caps E/T at 700,
-    # so q*E <= max(1400*T, 2e-304*E) and dq is finite for T >= T_MIN.
-    q = _q(energies / t)
-    resid = q - fills
-    loss = float(np.mean(resid**2))
-    dq = q * (1.0 - q / 2.0) * energies / (t * t)
-    grad = float(np.mean(2.0 * resid * dq))
-    return loss, grad
+def _loss(t, energies, fills) -> float:
+    # the kernel itself on one buffer, not spot_occupancy_prob: the
+    # observations are validated and sorted, and this runs per trial step.
+    # The sum and the division are np.mean's, without its call overhead.
+    r = energies / t
+    _q(r, out=r)
+    r -= fills
+    r *= r
+    return float(np.add.reduce(r)) / r.size
+
+
+def _loss_derivatives(t, energies, fills) -> tuple[float, float]:
+    """L' and L'' in u = log T at T = ``t``, on four n-sized buffers.
+
+    x is capped at 700 like the kernel's, so q * x and every other term
+    stay finite for any finite energy (E/T itself may overflow first).
+    """
+    x = np.divide(energies, t)
+    np.minimum(x, 700.0, out=x)
+    q = _q(x, out=np.empty_like(x))
+    r = q - fills
+    dq = q * -0.5
+    dq += 1.0
+    dq *= q
+    dq *= x  # dq/du = s x
+    np.subtract(1.0, q, out=q)
+    q *= x
+    q -= 1.0  # d2q/du2 = dq/du ((1 - q) x - 1)
+    q *= r
+    q += dq
+    q *= dq  # (dq/du)**2 + r d2q/du2
+    r *= dq
+    n = r.size
+    return 2.0 * float(np.add.reduce(r)) / n, 2.0 * float(np.add.reduce(q)) / n
 
 
 def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitResult:
-    """Fit the temperature by clamped gradient descent on the MSE.
+    """Fit the temperature by a safeguarded Newton method in u = log T.
 
-    Starts at ``initial_temperature``.  Stops when |dL/dT| falls below
-    the gradient tolerance, when the iterate is pinned at a domain bound
-    with the gradient pointing outward, or after the iteration cap.  Each
-    accepted step strictly decreases the loss, so the result never
-    scores worse than the starting temperature.
+    Starts at ``initial_temperature``.  Each step is du = -L'/L'' where
+    L'' > 0 and a unit step down the gradient elsewhere, capped at
+    |du| <= 1 and halved until the loss strictly drops; the candidate is
+    T exp(du) clamped to [T_MIN, T_MAX].  The fit stops when the Newton
+    step is at most the resolution (converged; that last step is still
+    taken if it lowers the loss), when T is pinned at a bound with the
+    gradient pointing outward, when no halving down to the resolution
+    lowers the loss, or after the iteration cap; the result says which.
+    Every accepted step strictly lowers the loss, so the result never
+    scores worse than the start, and ``final_loss`` is the loss at the
+    returned temperature.
     """
     if not T_MIN <= initial_temperature <= T_MAX:
         raise ValueError(f"initial_temperature must lie in [{T_MIN}, {T_MAX}]")
     energies, fills = _sorted_observations(energies, fills)
     t = float(initial_temperature)
-    loss, grad = _loss_and_grad(t, energies, fills)
-    step = _STEP_START
+    loss = _loss(t, energies, fills)
     iterations = 0
+    stop_reason = "max_iterations"
     while iterations < _MAX_ITERATIONS:
-        if abs(grad) <= _GRADIENT_TOLERANCE:
+        d1, d2 = _loss_derivatives(t, energies, fills)
+        if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
+            stop_reason = "pinned"
             break
-        if (t <= T_MIN and grad > 0) or (t >= T_MAX and grad < 0):
-            break  # pinned at a clamp bound, projected gradient is zero
-        moved = False
-        while step >= _STEP_FLOOR:
-            # cap the move at half the current temperature so a large step
-            # cannot vault over a narrow loss basin into the flat cold
-            # region where the gradient vanishes
-            move = step * grad
-            limit = 0.5 * t
-            move = min(max(move, -limit), limit)
-            cand = min(max(t - move, T_MIN), T_MAX)
-            cand_loss, cand_grad = _loss_and_grad(cand, energies, fills)
-            if cand != t and cand_loss < loss:
-                t, loss, grad = cand, cand_loss, cand_grad
-                step = min(step * 2.0, _STEP_CEIL)
-                moved = True
+        # not -L' where L'' <= 0: that crawls through the flat hot region
+        du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
+        converged = abs(du) <= _RESOLUTION  # never true of the unit step
+        du = min(max(du, -1.0), 1.0)
+        while True:
+            cand = min(max(t * math.exp(du), T_MIN), T_MAX)
+            cand_loss = _loss(cand, energies, fills)
+            if cand_loss < loss or abs(du) <= _RESOLUTION:
                 break
-            step *= 0.5
-        if not moved:
-            break  # no strictly improving step exists at any scale
-        iterations += 1
-    return FitResult(temperature=t, final_loss=loss, iterations=iterations)
+            du *= 0.5
+        improved = cand_loss < loss
+        if improved:
+            t, loss = cand, cand_loss
+            iterations += 1
+        if converged or not improved:
+            stop_reason = "converged" if converged else "no_improving_step"
+            break
+    return FitResult(temperature=t, final_loss=loss, iterations=iterations,
+                     stop_reason=stop_reason)
 
 
 def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: int,
@@ -200,6 +233,7 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
         raise ValueError("trials_per_size must be >= 1")
     energies, fills = survey_to_observations(survey)
     n = len(energies)
+    scored = _sorted_observations(energies, fills)
     sizes = [int(s) for s in sample_sizes]
     for s in sizes:
         if not 1 <= s <= n:
@@ -211,7 +245,7 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
             rng = np.random.default_rng([seed, size, trial])
             idx = rng.choice(n, size=size, replace=False)
             fit = fit_temperature(energies[idx], fills[idx], initial_temperature)
-            losses[trial] = mse_loss(fit.temperature, energies, fills)
+            losses[trial] = _loss(fit.temperature, *scored)
         points.append(
             SampleEfficiencyPoint(size, float(losses.mean()), float(losses.std()))
         )

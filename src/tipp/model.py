@@ -50,10 +50,14 @@ class EntropyParams:
             )
 
 
-def _q(x):
-    """q as a function of x = E / T.  Capping x at 700 keeps exp finite;
-    q there is ~2e-304, below anything a fill count or loss can resolve."""
-    return 2.0 / (1.0 + np.exp(np.minimum(x, 700.0)))
+def _q(x, out=None):
+    """q as a function of x = E / T, written into the array ``out`` when
+    given.  Capping x at 700 keeps exp finite; q there is ~2e-304, below
+    anything a fill count or loss can resolve."""
+    q = np.minimum(x, 700.0, out=out)
+    q = np.exp(q, out=out)
+    q = np.add(1.0, q, out=out)
+    return np.divide(2.0, q, out=out)
 
 
 def spot_occupancy_prob(energy, params: EntropyParams):
@@ -76,19 +80,9 @@ def spot_occupancy_prob(energy, params: EntropyParams):
     return q
 
 
-def level_energy(level_index: int, num_levels: int) -> float:
-    """Energy of one garage floor, E(i) = (i/N)**2, floor 1 nearest the entrance."""
-    if num_levels < 1:
-        raise ValueError("num_levels must be >= 1")
-    if not 1 <= level_index <= num_levels:
-        raise ValueError(
-            f"level_index {level_index} outside [1, {num_levels}]"
-        )
-    return (level_index / num_levels) ** 2
-
-
 def level_energies(num_levels: int) -> np.ndarray:
-    """Energies of all floors 1..N as an array."""
+    """Energies of all floors 1..N as an array, E(i) = (i/N)**2, floor 1
+    nearest the entrance.  Every caller reads floor energies from here."""
     if num_levels < 1:
         raise ValueError("num_levels must be >= 1")
     return (np.arange(1, num_levels + 1) / num_levels) ** 2

@@ -34,7 +34,6 @@ from .model import (
     EntropyParams,
     level_availability_prob,
     level_energies,
-    level_energy,
     spot_occupancy_prob,
 )
 
@@ -207,20 +206,22 @@ def plan_parking(state: TippState, from_floor: int, shape: GarageShape,
 
     If any floor fills have been observed, the temperature is refitted
     on {(E(k), fill_k)} starting from the current estimate; otherwise
-    the prior estimate is kept.  Availabilities follow from the model
+    the prior estimate is kept.  The fit and q read the same floor
+    energies, ``level_energies(N)``.  Availabilities follow from the model
     and the DP supplies u(from_floor).  ``state`` is only read.
     """
     n = shape.num_levels
     if from_floor >= n:
         raise GarageExhaustedError("garage exhausted: no floor below the current one")
     temperature = state.temperature_estimate
+    energies = level_energies(n)
     if state.floor_observations:
-        # level_energy, not level_energies(n)[f - 1]: the two round (f/n)**2
-        # 1 ulp apart for some f and n (first at n = 41), which moves fits
-        energies = [level_energy(floor, n) for floor in state.floor_observations]
+        floors = np.array(list(state.floor_observations))
+        if not (floors.min() >= 1 and floors.max() <= n):
+            raise ValueError(f"observed floors must lie in [1, {n}]")
         fills = list(state.floor_observations.values())
-        temperature = fit_temperature(energies, fills, temperature).temperature
-    q = spot_occupancy_prob(level_energies(n), EntropyParams(temperature))
+        temperature = fit_temperature(energies[floors - 1], fills, temperature).temperature
+    q = spot_occupancy_prob(energies, EntropyParams(temperature))
     availability = level_availability_prob(q, shape.capacity_per_level)
     solution = solve_dp(availability, times)
     return TippPlan(

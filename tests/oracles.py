@@ -2,9 +2,10 @@
 
 These deliberately re-derive results through different routes than the
 library: occupancy via a direct formula expression, temperature fitting
-via dense grid search, the descent program via exhaustive enumeration of
-committed itineraries and via a full O(N^2) scan of every j > i, and the
-time law via per-segment accounting.
+via dense grid search and via first-order descent on T, the descent
+program via exhaustive enumeration of committed itineraries and via a
+full O(N^2) scan of every j > i, and the time law via per-segment
+accounting.
 """
 
 import itertools
@@ -40,6 +41,41 @@ def grid_search_temperature(energies, fills, resolution=1e-4, lo=1e-3, hi=10.0, 
         if losses[i] < best_loss:
             best_loss, best_t = float(losses[i]), float(g[i])
     return best_t, best_loss
+
+
+def descent_fit_reference(energies, fills, start):
+    """Clamped first-order descent on T with a doubling/halving step, the
+    fit the library used before its Newton step; returns (T, loss)."""
+    energies = np.asarray(energies, dtype=float)
+    fills = np.asarray(fills, dtype=float)
+    order = np.lexsort((fills, energies))
+    energies, fills = energies[order], fills[order]
+
+    def loss_and_grad(t):
+        q = q_reference(energies, t)
+        resid = q - fills
+        dq = q * (1.0 - q / 2.0) * energies / (t * t)
+        return float(np.mean(resid**2)), float(np.mean(2.0 * resid * dq))
+
+    lo, hi = 1e-3, 10.0
+    t = float(start)
+    loss, grad = loss_and_grad(t)
+    step = 0.05
+    for _ in range(10_000):
+        if abs(grad) <= 1e-8 or (t <= lo and grad > 0) or (t >= hi and grad < 0):
+            break
+        while step >= 1e-18:
+            limit = 0.5 * t  # at most half of T per move
+            cand = min(max(t - min(max(step * grad, -limit), limit), lo), hi)
+            cand_loss, cand_grad = loss_and_grad(cand)
+            if cand != t and cand_loss < loss:
+                t, loss, grad = cand, cand_loss, cand_grad
+                step = min(step * 2.0, 1e9)
+                break
+            step *= 0.5
+        else:
+            break
+    return t, loss
 
 
 def expected_itinerary_time(itinerary, availability, t1, t2, t3):
@@ -113,3 +149,7 @@ def segment_accounting(itinerary, t1, t2, t3):
 
 def central_difference(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def second_difference(f, x, h):
+    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

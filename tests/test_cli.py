@@ -239,7 +239,8 @@ class TestFit:
         assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) == {"temperature", "final_loss", "iterations",
-                               "n_observations", "clamped"}
+                               "n_observations", "clamped", "stop_reason"}
+        assert report["stop_reason"] == "converged"
         assert report["n_observations"] == 105
         assert abs(report["temperature"] - 0.5) < 0.2
         on_disk = json.loads((tmp_path / "out" / "fit_report.json").read_text())

@@ -12,7 +12,6 @@ from tipp import (
     EntropyParams,
     level_availability_prob,
     level_energies,
-    level_energy,
     level_fill_count,
     spot_occupancy_prob,
 )
@@ -141,22 +140,22 @@ class TestEntropyParams:
 
 class TestLevelEnergy:
     def test_farthest_floor_has_unit_energy(self):
-        assert level_energy(10, 10) == 1.0
+        for n in (1, 10, 41):
+            assert level_energies(n)[-1] == 1.0
 
     def test_direct_substitutions(self):
-        assert level_energy(1, 10) == pytest.approx(0.01)
-        assert level_energy(5, 10) == 0.25
-
-    @pytest.mark.parametrize("i", [0, 11, -3])
-    def test_out_of_range_index(self, i):
-        with pytest.raises(ValueError):
-            level_energy(i, 10)
+        energies = level_energies(10)
+        assert energies[0] == pytest.approx(0.01)
+        assert energies[4] == 0.25
 
     def test_level_energies_matches_scalar(self):
-        arr = level_energies(7)
-        assert arr.shape == (7,)
-        for i in range(1, 8):
-            assert arr[i - 1] == level_energy(i, 7)
+        # the product (i/N) * (i/N), not libm's pow: the two round 1 ulp
+        # apart for some floors, first at floor 33 of 41
+        for n in (7, 41):
+            arr = level_energies(n)
+            assert arr.shape == (n,)
+            for i in range(1, n + 1):
+                assert arr[i - 1] == (i / n) * (i / n)
 
 
 class TestLevelFillCount:
@@ -244,8 +243,8 @@ class TestLevelAvailabilityProb:
 
 class TestEnergySpec:
     def test_per_level_matches_level_energies(self):
-        np.testing.assert_array_equal(level_energies(10),
-                                      [level_energy(i, 10) for i in range(1, 11)])
+        exact = [float(Fraction(i, 10) ** 2) for i in range(1, 11)]
+        np.testing.assert_allclose(level_energies(10), exact, rtol=2**-52, atol=0)
 
     def test_per_level_validation(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,8 @@ from tipp import (
     GarageShape,
     TimeConstants,
     TippState,
-    fit_temperature,
     level_availability_prob,
     level_energies,
-    level_energy,
     plan_parking,
     solve_dp,
     spot_occupancy_prob,
@@ -238,6 +236,15 @@ class TestObserveFloor:
             with pytest.raises(ValueError):
                 plan_parking(state, 0, shape, TIMES)
 
+    @pytest.mark.parametrize("floor", [-3, 0, 11])
+    def test_rejects_a_floor_outside_the_garage(self, floor):
+        # an index into the floor energies would read floor 0 as the
+        # deepest floor, energies[-1], and fit on it without a word
+        state = TippState(floor_observations={2: 1.0})
+        state.floor_observations[floor] = 0.5
+        with pytest.raises(ValueError, match=r"observed floors must lie in \[1, 10\]"):
+            plan_parking(state, 0, GarageShape(num_levels=10, capacity_per_level=30), TIMES)
+
 
 class TestTippDecide:
     SHAPE = GarageShape(num_levels=10, capacity_per_level=30)
@@ -317,10 +324,22 @@ class TestTippDecide:
         assert calls == Counter({"fit_temperature": fits, "solve_dp": 1,
                                  "spot_occupancy_prob": 1, "level_availability_prob": 1})
 
-    def test_refit_sees_the_scalar_floor_energies(self):
-        # level_energy(33, 41) (libm pow) and level_energies(41)[32] (numpy
-        # square) can differ by 1 ulp; the refit keeps the scalar values
+    def test_fit_and_q_see_the_same_energies(self, monkeypatch):
+        # one energy route: the fit reads level_energies(N) at the observed
+        # floors, the same array q reads; at N = 41, floor 33's energy is
+        # where libm's (f/N)**2 and the numpy square differ by 1 ulp
+        seen = {}
+
+        def recording(name, fn):
+            def wrapper(energies, *args):
+                seen[name] = np.asarray(energies, dtype=float).copy()
+                return fn(energies, *args)
+            return wrapper
+
+        for name in ("fit_temperature", "spot_occupancy_prob"):
+            monkeypatch.setattr(tipp.planner, name, recording(name, getattr(tipp.planner, name)))
         state = TippState(temperature_estimate=0.5, floor_observations={33: 0.6, 5: 0.9})
-        plan = plan_parking(state, 0, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
-        expected = fit_temperature([level_energy(5, 41), level_energy(33, 41)], [0.9, 0.6], 0.5)
-        assert plan.temperature == expected.temperature
+        plan_parking(state, 0, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
+        q_energies = seen["spot_occupancy_prob"]
+        assert q_energies.tobytes() == level_energies(41).tobytes()
+        assert seen["fit_temperature"].tobytes() == q_energies[[32, 4]].tobytes()

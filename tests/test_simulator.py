@@ -288,17 +288,25 @@ class TestRunPolicySequence:
 
     def test_tipp_pin_on_a_deep_garage(self, tmp_path):
         # 50x200, T=1.0, seed 0, 62 cars, default times: the N=50 descent
-        # program is re-solved at every full floor.  The figures were taken
-        # from the full-scan O(N^2) solve_dp, before the suffix-minimum
-        # pass replaced it.
+        # program is re-solved at every full floor.  The total and the
+        # rows without temperatures were taken from the full-scan O(N^2)
+        # solve_dp and the first-order fit, before the suffix-minimum pass
+        # and the Newton fit replaced them; the estimate and the file hash
+        # are the Newton fit's.
         garage = Garage.from_temperature(50, 200, 1.0, seed=0)
         outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 62, TIMES)
         assert sum(o.elapsed_time for o in outcomes) == 22755.0
-        assert outcomes[-1].temperature_estimate_after == 4.119236934733646
+        assert outcomes[-1].temperature_estimate_after == 4.118052306142915
         path = tmp_path / "tipp_percar.csv"
         write_outcomes_csv(path, PolicyKind.TIPP, outcomes)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "900b44f62b7a498db91d57671b76e2301bac9873632a3a8f831306622595da11")
+            "3c4f60e3ec66b7df6fababad683d42f7dda0ea6a8135c5fd44db278471e6dda6")
+        # every column but temperature_estimate (the last): the itineraries,
+        # spots and times, which a change in the fitted temperatures alone must not move
+        rows = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in path.read_text().splitlines())
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "26bc100600ab43dc2090f04a4e3f03a21faef2d427afadd310adec9ac0f74387")
 
     def test_tipp_estimate_evolves_across_cars(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
