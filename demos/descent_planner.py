@@ -9,7 +9,6 @@ is the floor to drive to next.  The bottom floor is the boundary case
 import numpy as np
 
 from tipp import (
-    EntropyParams,
     TimeConstants,
     level_availability_prob,
     level_energies,
@@ -22,7 +21,7 @@ print(f"Time constants: scan t1={times.t1:.0f}s, walk up t2={times.t2:.0f}s, "
       f"drive down t3={times.t3:.0f}s\n")
 
 print("Model-derived availabilities for a 10x30 garage at T=0.5:")
-q = spot_occupancy_prob(level_energies(10), EntropyParams(0.5))
+q = spot_occupancy_prob(level_energies(10), 0.5)
 availability = level_availability_prob(q, 30)
 solution = solve_dp(availability, times)
 print("floor   p(free spot)   f(i) seconds   u(i) next floor")

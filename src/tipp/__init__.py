@@ -15,7 +15,6 @@ from .fitting import (
 from .model import (
     T_MAX,
     T_MIN,
-    EntropyParams,
     level_availability_prob,
     level_energies,
     level_fill_count,
@@ -24,7 +23,6 @@ from .model import (
 from .planner import (
     DpSolution,
     GarageExhaustedError,
-    GarageShape,
     TimeConstants,
     TippPlan,
     TippState,

@@ -25,7 +25,7 @@ from .fitting import (
     sample_efficiency_curve,
     survey_to_observations,
 )
-from .model import T_MAX, T_MIN
+from .model import _check_temperature
 from .planner import GarageExhaustedError, TimeConstants
 from .simulator import (
     Garage,
@@ -53,7 +53,7 @@ class ScenarioConfig:
     temperature: float = 0.5
     num_cars: int = 30
     times: TimeConstants = field(default_factory=TimeConstants)
-    initial_temperature: float = 0.5  # where the fit verbs start their descent
+    initial_temperature: float = 0.5  # the temperature the fit verbs start from
     policies: tuple = ALL_POLICIES
     seed: int = 0
     departure_prob: float = 0.0
@@ -68,8 +68,8 @@ class ScenarioConfig:
             raise ValueError("departure_prob must lie in [0, 1]")
         if not self.policies:
             raise ValueError("at least one policy is required")
-        if not T_MIN <= self.initial_temperature <= T_MAX:
-            raise ValueError(f"initial_temperature must lie in [{T_MIN}, {T_MAX}]")
+        _check_temperature(self.temperature, "temperature")
+        _check_temperature(self.initial_temperature, "initial_temperature")
 
 
 _SCENARIO_SCALARS = ("num_levels", "capacity_per_level", "temperature", "num_cars",
@@ -192,15 +192,16 @@ def cmd_simulate(config: ScenarioConfig) -> int:
 def cmd_sweep(config: ScenarioConfig, temperatures) -> int:
     if not temperatures:
         raise ValueError("at least one temperature is required")
+    # every scenario is built, and so checked, before any output exists
+    scenarios = [replace(config, temperature=float(t)) for t in temperatures]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["temperature,policy,cumulative_seconds"]
     any_failures = False
-    for temperature in temperatures:
-        scenario = replace(config, temperature=float(temperature))
+    for scenario in scenarios:
         for policy, outcomes, failures in _run_policies(scenario):
             total = sum(o.elapsed_time for o in outcomes)
-            lines.append(f"{float(temperature)!r},{policy.value},{total:.6f}")
+            lines.append(f"{scenario.temperature!r},{policy.value},{total:.6f}")
             any_failures = any_failures or failures > 0
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     return EXIT_SIMULATION if any_failures else EXIT_OK

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import T_MAX, T_MIN, EntropyParams, _q, spot_occupancy_prob
+from .model import T_MAX, T_MIN, _check_temperature, _q, spot_occupancy_prob
 
 #: Smallest move in u = log T the fit resolves: a Newton step no longer
 #: than this has converged, and the line search halves down to it.
@@ -82,6 +82,8 @@ class LotSurvey:
             raise ValueError("survey needs at least 2 spots")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("spot coordinates must be finite")
+        if not all(map(math.isfinite, self.poi)):
+            raise ValueError("point of interest must be finite")
 
     @property
     def num_spots(self) -> int:
@@ -131,7 +133,7 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
 
 def mse_loss(temperature: float, energies, fills) -> float:
     """Mean squared error between model occupancy and observed fills."""
-    temperature = EntropyParams(temperature).temperature
+    _check_temperature(temperature, "temperature")
     return _loss(temperature, *_sorted_observations(energies, fills))
 
 
@@ -186,8 +188,7 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
     scores worse than the start, and ``final_loss`` is the loss at the
     returned temperature.
     """
-    if not T_MIN <= initial_temperature <= T_MAX:
-        raise ValueError(f"initial_temperature must lie in [{T_MIN}, {T_MAX}]")
+    _check_temperature(initial_temperature, "initial_temperature")
     energies, fills = _sorted_observations(energies, fills)
     t = float(initial_temperature)
     loss = _loss(t, energies, fills)
@@ -264,7 +265,7 @@ def synthetic_survey(num_spots: int, temperature: float, seed: int,
     x = poi[0] + r * np.cos(theta)
     y = poi[1] + r * np.sin(theta)
     energies = (r / r.max()) ** 2
-    q = spot_occupancy_prob(energies, EntropyParams(temperature))
+    q = spot_occupancy_prob(energies, temperature)
     occupied = rng.random(num_spots) < q
     return LotSurvey(x=x, y=y, occupied=occupied, poi=poi)
 

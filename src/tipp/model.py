@@ -20,34 +20,24 @@ exactly 1.  Per-spot energies from a surveyed lot are squared normalized
 distances to the point of interest and land in the same ``[0, 1]`` range
 (see :mod:`tipp.fitting`).
 
-Temperatures are restricted to ``[T_MIN, T_MAX] = [1e-3, 10.0]``; every
-fit and evaluation clamps to this domain.
+Temperatures lie in ``[T_MIN, T_MAX] = [1e-3, 10.0]``: the fit clamps
+to this domain, and every other reader rejects a temperature outside it.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-#: Clamp domain for the temperature parameter.
+#: Domain of the temperature parameter.
 T_MIN = 1e-3
 T_MAX = 10.0
 
 
-@dataclass(frozen=True)
-class EntropyParams:
-    """Parameters of the occupancy model: the lot temperature."""
-
-    temperature: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.temperature):
-            raise ValueError("temperature must be finite")
-        if not T_MIN <= self.temperature <= T_MAX:
-            raise ValueError(
-                f"temperature {self.temperature} outside domain [{T_MIN}, {T_MAX}]"
-            )
+def _check_temperature(value, name: str) -> None:
+    """Reject a temperature outside [T_MIN, T_MAX]; NaN and +-inf fail too."""
+    if not T_MIN <= value <= T_MAX:
+        raise ValueError(f"{name} {value} outside domain [{T_MIN}, {T_MAX}]")
 
 
 def _q(x, out=None):
@@ -60,13 +50,14 @@ def _q(x, out=None):
     return np.divide(2.0, q, out=out)
 
 
-def spot_occupancy_prob(energy, params: EntropyParams):
-    """Probability q(E, T) that a spot with the given energy is occupied.
+def spot_occupancy_prob(energy, temperature: float):
+    """Probability q(E, T) that a spot of energy E is occupied at temperature T.
 
     ``energy`` may be a scalar or an array; the return type matches.
     q(0, T) = 1 exactly; while E/T < 700, q is strictly decreasing in
     energy and, for E > 0, strictly increasing in temperature.
     """
+    _check_temperature(temperature, "temperature")
     e = np.asarray(energy, dtype=float)
     if e.size:
         lo, hi = e.min(), e.max()  # NaN propagates into both
@@ -74,7 +65,7 @@ def spot_occupancy_prob(energy, params: EntropyParams):
             raise ValueError("energy must be finite")
         if lo < 0:
             raise ValueError("energy must be non-negative")
-    q = _q(e / params.temperature)
+    q = _q(e / temperature)
     if np.ndim(energy) == 0:
         return float(q)
     return q

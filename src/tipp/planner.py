@@ -29,9 +29,7 @@ import numpy as np
 
 from .fitting import fit_temperature
 from .model import (
-    T_MAX,
-    T_MIN,
-    EntropyParams,
+    _check_temperature,
     level_availability_prob,
     level_energies,
     spot_occupancy_prob,
@@ -55,18 +53,6 @@ class TimeConstants:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive finite number")
-
-
-@dataclass(frozen=True)
-class GarageShape:
-    num_levels: int
-    capacity_per_level: int
-
-    def __post_init__(self):
-        if self.num_levels < 1:
-            raise ValueError("num_levels must be >= 1")
-        if self.capacity_per_level < 1:
-            raise ValueError("capacity_per_level must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -111,8 +97,8 @@ def solve_dp(availability, times: TimeConstants) -> DpSolution:
     smallest j, the nearest floor.  Rounding can still reorder two j
     whose costs differ by a few ulps once i moves, so such near ties are
     kept and re-compared at every floor; f, u and the entrance value are
-    thus bit-identical to a full scan of every j > i at each floor, as
-    long as the costs stay finite.
+    thus bit-identical to a full scan of every j > i at each floor.
+    Times so large that a cost could overflow are rejected.
     """
     p = np.asarray(availability, dtype=float)
     if p.ndim != 1 or p.size == 0:
@@ -131,6 +117,8 @@ def solve_dp(availability, times: TimeConstants) -> DpSolution:
     # 2**-52 of that, so a j costlier than the best by more than tol can
     # never round to the minimum at this floor or any floor above it.
     tol = 3 * n * (t1 + t2 + t3) * 2.0**-48
+    if not tol < math.inf:
+        raise ValueError(f"times too large for {n} floors: the expected times overflow")
     best, close = n + 1, []  # close: other j within tol of the best
     for i in range(n - 1, -1, -1):
         cost = (best - i) * t3 + f[best]
@@ -178,10 +166,7 @@ class TippState:
     floor_observations: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not T_MIN <= self.temperature_estimate <= T_MAX:
-            raise ValueError(
-                f"temperature_estimate must lie in [{T_MIN}, {T_MAX}]"
-            )
+        _check_temperature(self.temperature_estimate, "temperature_estimate")
         for floor, fill in self.floor_observations.items():
             if floor < 1:
                 raise ValueError("observed floors must be >= 1")
@@ -199,10 +184,11 @@ class TippPlan:
     solution: DpSolution
 
 
-def plan_parking(state: TippState, from_floor: int, shape: GarageShape,
-                 times: TimeConstants) -> TippPlan:
+def plan_parking(state: TippState, from_floor: int, num_levels: int,
+                 capacity_per_level: int, times: TimeConstants) -> TippPlan:
     """Re-estimate, re-solve, and pick the next floor below ``from_floor``
-    (0 = entrance).
+    (0 = entrance) in a garage of ``num_levels`` floors of
+    ``capacity_per_level`` spots each.
 
     If any floor fills have been observed, the temperature is refitted
     on {(E(k), fill_k)} starting from the current estimate; otherwise
@@ -210,19 +196,18 @@ def plan_parking(state: TippState, from_floor: int, shape: GarageShape,
     energies, ``level_energies(N)``.  Availabilities follow from the model
     and the DP supplies u(from_floor).  ``state`` is only read.
     """
-    n = shape.num_levels
-    if from_floor >= n:
+    energies = level_energies(num_levels)  # first: num_levels < 1 is a ValueError
+    if from_floor >= num_levels:
         raise GarageExhaustedError("garage exhausted: no floor below the current one")
     temperature = state.temperature_estimate
-    energies = level_energies(n)
     if state.floor_observations:
         floors = np.array(list(state.floor_observations))
-        if not (floors.min() >= 1 and floors.max() <= n):
-            raise ValueError(f"observed floors must lie in [1, {n}]")
+        if not (floors.min() >= 1 and floors.max() <= num_levels):
+            raise ValueError(f"observed floors must lie in [1, {num_levels}]")
         fills = list(state.floor_observations.values())
         temperature = fit_temperature(energies[floors - 1], fills, temperature).temperature
-    q = spot_occupancy_prob(energies, EntropyParams(temperature))
-    availability = level_availability_prob(q, shape.capacity_per_level)
+    q = spot_occupancy_prob(energies, temperature)
+    availability = level_availability_prob(q, capacity_per_level)
     solution = solve_dp(availability, times)
     return TippPlan(
         next_floor=solution.action(from_floor),

@@ -24,10 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .model import EntropyParams, level_energies, level_fill_count, spot_occupancy_prob
+from .model import level_energies, level_fill_count, spot_occupancy_prob
 from .planner import (
     GarageExhaustedError,
-    GarageShape,
     TimeConstants,
     TippState,
     plan_parking,
@@ -77,8 +76,7 @@ class Garage:
         """
         garage = cls(num_levels, capacity_per_level, seed)
         garage.init_temperature = float(temperature)
-        params = EntropyParams(temperature)
-        q = spot_occupancy_prob(level_energies(num_levels), params)
+        q = spot_occupancy_prob(level_energies(num_levels), temperature)
         for level in range(num_levels):
             count = level_fill_count(float(q[level]), capacity_per_level)
             spots = garage.rng.choice(capacity_per_level, size=count, replace=False)
@@ -94,10 +92,6 @@ class Garage:
         garage = cls(grid.shape[0], grid.shape[1], seed)
         garage.occupancy[:] = grid
         return garage
-
-    @property
-    def shape(self) -> GarageShape:
-        return GarageShape(self.num_levels, self.capacity_per_level)
 
     def level_occupied_count(self, floor: int) -> int:
         self._check_floor(floor)
@@ -195,7 +189,8 @@ def _tipp_floors(garage: Garage, times: TimeConstants, state: TippState):
     """
     here = 0
     while here < garage.num_levels:
-        plan = plan_parking(state, here, garage.shape, times)
+        plan = plan_parking(state, here, garage.num_levels, garage.capacity_per_level,
+                            times)
         state.temperature_estimate = plan.temperature
         here = plan.next_floor
         yield here
@@ -214,6 +209,8 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     """
     if num_cars < 1:
         raise ValueError("num_cars must be >= 1")
+    if not 0.0 <= departure_prob <= 1.0:  # NaN fails too
+        raise ValueError("departure_prob must lie in [0, 1]")
     policy = PolicyKind(policy)
     state = None
     outcomes = []

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from tipp import (
-    EntropyParams,
     Garage,
     PolicyKind,
     TimeConstants,
@@ -68,21 +67,20 @@ def test_criterion_2_occupancy_model_properties():
     e_lo = rng.uniform(0.0, 3.0, n)
     e_hi = e_lo + rng.uniform(1e-6, 3.0, n)
     exact_at_zero = all(
-        spot_occupancy_prob(0.0, EntropyParams(float(t))) == 1.0 for t in temps[:1000]
+        spot_occupancy_prob(0.0, float(t)) == 1.0 for t in temps[:1000]
     )
     in_bounds = True
     energy_strict = True
     for t, lo, hi in zip(temps, e_lo, e_hi):
-        params = EntropyParams(float(t))
-        q_pair = spot_occupancy_prob(np.array([lo, hi]), params)
+        q_pair = spot_occupancy_prob(np.array([lo, hi]), float(t))
         in_bounds &= 0.0 <= q_pair[1] <= q_pair[0] <= 1.0
         energy_strict &= q_pair[0] > q_pair[1]
     t_lo = rng.uniform(0.05, 9.0, n)
     t_hi = t_lo + rng.uniform(1e-4, 1.0, n)
     energies = rng.uniform(0.01, 3.0, n)
     temp_strict = all(
-        spot_occupancy_prob(float(e), EntropyParams(float(b)))
-        > spot_occupancy_prob(float(e), EntropyParams(float(a)))
+        spot_occupancy_prob(float(e), float(b))
+        > spot_occupancy_prob(float(e), float(a))
         for e, a, b in zip(energies, t_lo, np.minimum(t_hi, 10.0))
     )
     elapsed = time.perf_counter() - start
@@ -97,7 +95,7 @@ def test_criterion_3_fit_recovery():
     energies = np.arange(1, 11) / 10.0
     worst_noiseless = 0.0
     for t_star in (0.1, 0.5, 1.0):
-        fills = spot_occupancy_prob(energies, EntropyParams(t_star))
+        fills = spot_occupancy_prob(energies, t_star)
         fitted = fit_temperature(energies, fills).temperature
         grid, _ = grid_search_temperature(energies, fills, resolution=1e-5)
         worst_noiseless = max(worst_noiseless, abs(fitted - t_star), abs(fitted - grid))

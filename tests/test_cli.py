@@ -164,6 +164,17 @@ class TestConfigFile:
             assert "initial_temperature" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_out_of_domain_temperature_is_usage_error(self, tmp_path, capsys):
+        # rejected before the output directory is made, like initial_temperature
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temperature": 20}))
+        for argv in (["simulate", "--temperature", "20"], ["render", "--temperature", "20"],
+                     ["sweep", "--temperatures", "0.5,20"], ["simulate", "--config", str(cfg)],
+                     ["render", "--config", str(cfg)]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+            assert "temperature 20" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweep:
     def test_single_temperature_matches_simulate(self, tmp_path):
@@ -265,6 +276,13 @@ class TestFit:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_of_interest_is_usage_error(self, tmp_path, capsys, value):
+        path = tmp_path / "lot.csv"
+        path.write_text(f"poi,{value},0\n1,0,1\n2,0,0\n")
+        assert main(["fit", str(path)]) == 2
+        assert "point of interest" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_fit_setting_is_usage_error(self, tmp_path, capsys, value):

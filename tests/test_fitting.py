@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tipp import (
     T_MAX,
     T_MIN,
-    EntropyParams,
     LotSurvey,
     fit_temperature,
     level_energies,
@@ -36,7 +35,7 @@ def noiseless_observations(t_star, energies=None):
     if energies is None:
         energies = np.arange(1, 11) / 10.0
     energies = np.asarray(energies, dtype=float)
-    return energies, spot_occupancy_prob(energies, EntropyParams(t_star))
+    return energies, spot_occupancy_prob(energies, t_star)
 
 
 def square_survey(occupied):
@@ -88,7 +87,7 @@ class TestMseLoss:
             assert mse_loss(t, np.zeros(3), np.ones(3)) == 0.0
 
     def test_self_consistent_observation(self):
-        q = spot_occupancy_prob(1.0, EntropyParams(0.5))
+        q = spot_occupancy_prob(1.0, 0.5)
         assert mse_loss(0.5, [1.0], [q]) == 0.0
 
     def test_known_value(self):
@@ -126,7 +125,7 @@ class TestFitTemperature:
         assert res.stop_reason == "converged"
 
     def test_already_at_optimum_converges_immediately(self):
-        q = spot_occupancy_prob(1.0, EntropyParams(0.5))
+        q = spot_occupancy_prob(1.0, 0.5)
         res = fit_temperature([1.0], [q])
         assert res.iterations == 0
         assert res.final_loss == 0.0
@@ -172,7 +171,7 @@ class TestFitTemperature:
             t_star = float(rng.uniform(0.05, 2.0))
             energies = rng.uniform(0.02, 1.0, 25)
             fills = np.clip(
-                spot_occupancy_prob(energies, EntropyParams(t_star))
+                spot_occupancy_prob(energies, t_star)
                 + rng.normal(0, 0.05, 25),
                 0.0, 1.0,
             )
@@ -214,7 +213,7 @@ class TestFitTemperature:
         # in the worse basin, so this compares only fills a garage can show.
         n, floors, t_star, start, seed = case
         energies = level_energies(n)[np.array(floors) - 1]
-        q = spot_occupancy_prob(energies, EntropyParams(t_star))
+        q = spot_occupancy_prob(energies, t_star)
         fills = np.random.default_rng(seed).binomial(30, q) / 30.0
         _, reference_loss = descent_fit_reference(energies, fills, start)
         res = fit_temperature(energies, fills, start)
@@ -385,6 +384,11 @@ class TestSurveyIO:
         path.write_text("poi,0,0\n1,0,1\n")
         with pytest.raises(ValueError, match="at least 2"):
             load_survey(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_point_of_interest(self, bad):
+        with pytest.raises(ValueError, match="point of interest must be finite"):
+            LotSurvey(x=[1.0, 2.0], y=[0.0, 0.0], occupied=[True, False], poi=(bad, 0.0))
 
 
 class TestSyntheticSurvey:

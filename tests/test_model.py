@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from tipp import (
     T_MAX,
     T_MIN,
-    EntropyParams,
+    TippState,
     level_availability_prob,
     level_energies,
     level_fill_count,
+    mse_loss,
     spot_occupancy_prob,
 )
 
@@ -25,46 +27,42 @@ Q_E001_T05 = 0.9900003333200006
 AVAIL_Q099_S30 = 0.26029962661171957
 
 
-def params(t):
-    return EntropyParams(temperature=t)
-
-
 class TestSpotOccupancyProb:
     def test_zero_energy_is_certainly_occupied(self):
         for t in (T_MIN, 0.1, 0.5, 1.0, T_MAX):
-            assert spot_occupancy_prob(0.0, params(t)) == 1.0
+            assert spot_occupancy_prob(0.0, t) == 1.0
 
     def test_known_values(self):
-        assert spot_occupancy_prob(1.0, params(0.5)) == pytest.approx(Q_E1_T05, abs=1e-13)
-        assert spot_occupancy_prob(0.25, params(0.5)) == pytest.approx(Q_E025_T05, abs=1e-13)
-        assert spot_occupancy_prob(0.01, params(0.5)) == pytest.approx(Q_E001_T05, abs=1e-13)
+        assert spot_occupancy_prob(1.0, 0.5) == pytest.approx(Q_E1_T05, abs=1e-13)
+        assert spot_occupancy_prob(0.25, 0.5) == pytest.approx(Q_E025_T05, abs=1e-13)
+        assert spot_occupancy_prob(0.01, 0.5) == pytest.approx(Q_E001_T05, abs=1e-13)
 
     def test_hotter_lot_is_fuller(self):
-        assert spot_occupancy_prob(1.0, params(T_MAX)) > spot_occupancy_prob(1.0, params(0.5))
+        assert spot_occupancy_prob(1.0, T_MAX) > spot_occupancy_prob(1.0, 0.5)
 
     def test_matches_reference_expression(self):
         rng = np.random.default_rng(3)
         energies = rng.uniform(0, 3, 200)
         for t in (0.01, 0.3, 2.0, 9.5):
-            got = spot_occupancy_prob(energies, params(t))
+            got = spot_occupancy_prob(energies, t)
             np.testing.assert_allclose(got, q_reference(energies, t), rtol=1e-12)
 
     def test_array_input_returns_array(self):
-        q = spot_occupancy_prob(np.array([0.0, 1.0]), params(0.5))
+        q = spot_occupancy_prob(np.array([0.0, 1.0]), 0.5)
         assert isinstance(q, np.ndarray)
         assert q[0] == 1.0
 
     def test_scalar_input_returns_float(self):
-        assert isinstance(spot_occupancy_prob(0.5, params(0.5)), float)
+        assert isinstance(spot_occupancy_prob(0.5, 0.5), float)
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_energy(self, bad):
         with pytest.raises(ValueError):
-            spot_occupancy_prob(bad, params(0.5))
+            spot_occupancy_prob(bad, 0.5)
 
     def test_rejects_bad_energy_in_array(self):
         with pytest.raises(ValueError):
-            spot_occupancy_prob(np.array([0.5, -0.1]), params(0.5))
+            spot_occupancy_prob(np.array([0.5, -0.1]), 0.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("where", [0, 2])
@@ -72,18 +70,18 @@ class TestSpotOccupancyProb:
         energy = np.array([0.5, 0.0, 1.0])
         energy[where] = bad
         with pytest.raises(ValueError, match="energy must be finite"):
-            spot_occupancy_prob(energy, params(0.5))
+            spot_occupancy_prob(energy, 0.5)
 
     def test_negative_energy_message(self):
         with pytest.raises(ValueError, match="energy must be non-negative"):
-            spot_occupancy_prob(np.array([0.5, -0.1, 1.0]), params(0.5))
+            spot_occupancy_prob(np.array([0.5, -0.1, 1.0]), 0.5)
 
     def test_non_finite_is_reported_before_negative(self):
         with pytest.raises(ValueError, match="energy must be finite"):
-            spot_occupancy_prob(np.array([-0.1, float("nan")]), params(0.5))
+            spot_occupancy_prob(np.array([-0.1, float("nan")]), 0.5)
 
     def test_empty_array_gives_empty_array(self):
-        q = spot_occupancy_prob(np.array([]), params(0.5))
+        q = spot_occupancy_prob(np.array([]), 0.5)
         assert isinstance(q, np.ndarray) and q.shape == (0,)
 
     def test_cold_edge_is_finite_without_overflow(self):
@@ -91,9 +89,9 @@ class TestSpotOccupancyProb:
         # would overflow a float64 without the kernel's cap
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q = spot_occupancy_prob(1.0, params(T_MIN))
+            q = spot_occupancy_prob(1.0, T_MIN)
             assert isinstance(q, float) and np.isfinite(q) and 0.0 <= q <= 1.0
-            qs = spot_occupancy_prob(np.linspace(0.0, 1.0, 101), params(T_MIN))
+            qs = spot_occupancy_prob(np.linspace(0.0, 1.0, 101), T_MIN)
         assert np.all(np.isfinite(qs))
         assert np.all((qs >= 0.0) & (qs <= 1.0))
         assert qs[0] == 1.0
@@ -102,7 +100,7 @@ class TestSpotOccupancyProb:
            st.floats(min_value=T_MIN, max_value=T_MAX))
     @settings(max_examples=300)
     def test_bounds(self, energy, temperature):
-        q = spot_occupancy_prob(energy, params(temperature))
+        q = spot_occupancy_prob(energy, temperature)
         assert 0.0 <= q <= 1.0
         # strictness below 1 needs the exponent to be representable
         if energy / temperature > 1e-12:
@@ -114,8 +112,8 @@ class TestSpotOccupancyProb:
     @settings(max_examples=300)
     def test_strictly_decreasing_in_energy(self, e1, gap, temperature):
         # domain keeps both exponents <= 30 so q stays a normal float
-        lo = spot_occupancy_prob(e1 + gap, params(temperature))
-        hi = spot_occupancy_prob(e1, params(temperature))
+        lo = spot_occupancy_prob(e1 + gap, temperature)
+        hi = spot_occupancy_prob(e1, temperature)
         assert hi > lo
 
     @given(st.floats(min_value=0.01, max_value=5.0),
@@ -124,18 +122,27 @@ class TestSpotOccupancyProb:
     @settings(max_examples=300)
     def test_strictly_increasing_in_temperature(self, energy, t1, gap):
         t2 = min(t1 + gap, T_MAX)
-        assert spot_occupancy_prob(energy, params(t2)) > spot_occupancy_prob(energy, params(t1))
+        assert spot_occupancy_prob(energy, t2) > spot_occupancy_prob(energy, t1)
 
 
 class TestEntropyParams:
+    # the temperature is a plain float; each reader checks the one domain
+
     @pytest.mark.parametrize("t", [T_MIN / 2, T_MAX + 1, 0.0, -1.0, float("nan")])
     def test_rejects_out_of_domain_temperature(self, t):
-        with pytest.raises(ValueError):
-            EntropyParams(temperature=t)
+        domain = re.escape(f" {t} outside domain [{T_MIN}, {T_MAX}]")
+        with pytest.raises(ValueError, match="^temperature" + domain):
+            spot_occupancy_prob(0.5, t)
+        with pytest.raises(ValueError, match="^temperature" + domain):
+            mse_loss(t, [0.5], [0.5])
+        with pytest.raises(ValueError, match="^temperature_estimate" + domain):
+            TippState(temperature_estimate=t)
 
     def test_domain_bounds_are_allowed(self):
-        EntropyParams(temperature=T_MIN)
-        EntropyParams(temperature=T_MAX)
+        for t in (T_MIN, T_MAX):
+            assert spot_occupancy_prob(0.5, t) > 0.0
+            assert mse_loss(t, [0.5], [0.5]) >= 0.0
+            assert TippState(temperature_estimate=t).temperature_estimate == t
 
 
 class TestLevelEnergy:
@@ -160,7 +167,7 @@ class TestLevelEnergy:
 
 class TestLevelFillCount:
     def test_model_value_rounds_to_seven(self):
-        q = spot_occupancy_prob(1.0, params(0.5))
+        q = spot_occupancy_prob(1.0, 0.5)
         assert level_fill_count(q, 30) == 7
 
     def test_extremes(self):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from tipp import (
     T_MAX,
-    EntropyParams,
     GarageExhaustedError,
-    GarageShape,
     TimeConstants,
     TippState,
     level_availability_prob,
@@ -152,6 +150,12 @@ class TestSolveDp:
         with pytest.raises(ValueError, match=r"availability entries must lie in \[0, 1\]"):
             solve_dp(p, TIMES)
 
+    def test_rejects_times_whose_costs_overflow(self):
+        # 3N(t1 + t2 + t3) bounds every cost; past float range the values
+        # were [nan, inf] and the near-tie bound meant nothing
+        with pytest.raises(ValueError, match="overflow"):
+            solve_dp([1.0, 0.5], TimeConstants(1e308, 1e308, 1.0))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=300),
            st.sampled_from(["uniform", "ties", "near_one", "mixed"]),
@@ -229,12 +233,11 @@ class TestObserveFloor:
     def test_validation(self):
         # the memory is a plain dict, so a bad entry added after
         # construction is caught when the planner reads it
-        shape = GarageShape(num_levels=10, capacity_per_level=30)
         for floor, fill in ((0, 0.5), (1, 1.5)):
             state = TippState()
             state.floor_observations[floor] = fill
             with pytest.raises(ValueError):
-                plan_parking(state, 0, shape, TIMES)
+                plan_parking(state, 0, 10, 30, TIMES)
 
     @pytest.mark.parametrize("floor", [-3, 0, 11])
     def test_rejects_a_floor_outside_the_garage(self, floor):
@@ -243,30 +246,33 @@ class TestObserveFloor:
         state = TippState(floor_observations={2: 1.0})
         state.floor_observations[floor] = 0.5
         with pytest.raises(ValueError, match=r"observed floors must lie in \[1, 10\]"):
-            plan_parking(state, 0, GarageShape(num_levels=10, capacity_per_level=30), TIMES)
+            plan_parking(state, 0, 10, 30, TIMES)
 
 
 class TestTippDecide:
-    SHAPE = GarageShape(num_levels=10, capacity_per_level=30)
+    @pytest.mark.parametrize("num_levels, capacity", [(0, 30), (10, 0)])
+    def test_rejects_an_empty_garage_dimension(self, num_levels, capacity):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            plan_parking(TippState(), 0, num_levels, capacity, TIMES)
 
     def _availability(self, temperature):
-        q = spot_occupancy_prob(level_energies(10), EntropyParams(temperature))
+        q = spot_occupancy_prob(level_energies(10), temperature)
         return level_availability_prob(q, 30)
 
     def test_no_observations_keeps_prior_and_follows_dp(self):
         state = TippState(temperature_estimate=0.5)
         p = self._availability(0.5)
         _, oracle_itinerary = enumerate_best_itinerary(p, TIMES.t1, TIMES.t2, TIMES.t3)
-        assert plan_parking(state, 0, self.SHAPE, TIMES).next_floor == oracle_itinerary[0]
+        assert plan_parking(state, 0, 10, 30, TIMES).next_floor == oracle_itinerary[0]
 
     def test_plan_reports_prior_when_no_observations(self):
-        plan = plan_parking(TippState(temperature_estimate=0.7), 0, self.SHAPE, TIMES)
+        plan = plan_parking(TippState(temperature_estimate=0.7), 0, 10, 30, TIMES)
         assert plan.temperature == 0.7
         np.testing.assert_allclose(plan.availability, self._availability(0.7), rtol=1e-12)
 
     def test_vacant_bottom_floor_pulls_the_estimate_cold(self):
         state = TippState(temperature_estimate=0.5, floor_observations={10: 0.0})
-        plan = plan_parking(state, 0, self.SHAPE, TIMES)
+        plan = plan_parking(state, 0, 10, 30, TIMES)
         # the refit lands in the cold regime (fit loss is float-zero there),
         # every floor then looks available, and the nearest floor wins
         assert plan.temperature < 0.1
@@ -276,29 +282,29 @@ class TestTippDecide:
     def test_full_from_floor_still_descends(self):
         for floor in (1, 4, 9):
             state = TippState(temperature_estimate=0.5, floor_observations={floor: 1.0})
-            assert plan_parking(state, floor, self.SHAPE, TIMES).next_floor > floor
+            assert plan_parking(state, floor, 10, 30, TIMES).next_floor > floor
 
     def test_exhausted_at_bottom(self):
         state = TippState(temperature_estimate=0.5)
         with pytest.raises(GarageExhaustedError):
-            plan_parking(state, 10, self.SHAPE, TIMES)
+            plan_parking(state, 10, 10, 30, TIMES)
 
     def test_rejects_a_floor_above_the_entrance(self):
         with pytest.raises(ValueError):
-            plan_parking(TippState(), -1, self.SHAPE, TIMES)
+            plan_parking(TippState(), -1, 10, 30, TIMES)
 
     def test_deterministic(self):
         state = TippState(temperature_estimate=0.5,
                           floor_observations={2: 1.0, 6: 0.5})
-        a = plan_parking(state, 0, self.SHAPE, TIMES).next_floor
-        b = plan_parking(state, 0, self.SHAPE, TIMES).next_floor
+        a = plan_parking(state, 0, 10, 30, TIMES).next_floor
+        b = plan_parking(state, 0, 10, 30, TIMES).next_floor
         assert a == b
 
     def test_refit_warm_starts_from_the_estimate(self):
         # a single fractional observation has an exact-fit temperature;
         # the refit must land there regardless of the prior
         state = TippState(temperature_estimate=2.0, floor_observations={5: 0.5})
-        plan = plan_parking(state, 0, self.SHAPE, TIMES)
+        plan = plan_parking(state, 0, 10, 30, TIMES)
         energy = level_energies(10)[4]
         expected = energy / np.log(2.0 / 0.5 - 1.0)
         assert plan.temperature == pytest.approx(expected, rel=1e-4)
@@ -320,7 +326,7 @@ class TestTippDecide:
                      "level_availability_prob"):
             monkeypatch.setattr(tipp.planner, name, counting(name, getattr(tipp.planner, name)))
         state = TippState(temperature_estimate=0.5, floor_observations=observations)
-        plan_parking(state, 0, self.SHAPE, TIMES)
+        plan_parking(state, 0, 10, 30, TIMES)
         assert calls == Counter({"fit_temperature": fits, "solve_dp": 1,
                                  "spot_occupancy_prob": 1, "level_availability_prob": 1})
 
@@ -339,7 +345,7 @@ class TestTippDecide:
         for name in ("fit_temperature", "spot_occupancy_prob"):
             monkeypatch.setattr(tipp.planner, name, recording(name, getattr(tipp.planner, name)))
         state = TippState(temperature_estimate=0.5, floor_observations={33: 0.6, 5: 0.9})
-        plan_parking(state, 0, GarageShape(num_levels=41, capacity_per_level=30), TIMES)
+        plan_parking(state, 0, 41, 30, TIMES)
         q_energies = seen["spot_occupancy_prob"]
         assert q_energies.tobytes() == level_energies(41).tobytes()
         assert seen["fit_temperature"].tobytes() == q_energies[[32, 4]].tobytes()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tipp import (
-    EntropyParams,
     Garage,
     GarageExhaustedError,
     PolicyKind,
@@ -51,7 +50,7 @@ class TestInitFromTemperature:
 
     def test_counts_come_from_the_model(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=5)
-        q = spot_occupancy_prob(level_energies(10), EntropyParams(0.5))
+        q = spot_occupancy_prob(level_energies(10), 0.5)
         expected = tuple(level_fill_count(float(qi), 30) for qi in q)
         assert level_counts(garage) == expected
 
@@ -273,6 +272,15 @@ class TestRunPolicySequence:
         outcomes = run_policy_sequence(garage, PolicyKind.BENCHMARK, 6, TIMES,
                                        departure_prob=1.0)
         assert len(outcomes) == 6  # everyone leaves after each arrival
+
+    @pytest.mark.parametrize("departure_prob", [-0.5, float("nan"), 1.5])
+    def test_rejects_departure_prob_before_the_first_car(self, departure_prob):
+        garage = Garage.from_temperature(10, 30, 0.5, seed=0)
+        before = garage.occupancy.copy()
+        with pytest.raises(ValueError, match="departure_prob"):
+            run_policy_sequence(garage, PolicyKind.BENCHMARK, 3, TIMES,
+                                departure_prob=departure_prob)
+        np.testing.assert_array_equal(garage.occupancy, before)
 
     @pytest.mark.parametrize("temperature, totals", [
         (0.1, {"benchmark": 4140, "inverse": 5400, "optimal": 2280, "tipp": 3480}),
