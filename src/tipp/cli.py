@@ -7,16 +7,18 @@ curve), ``render`` (text + PPM pictures of the initialized garage).
 
 Every command is a pure function of (config, input files): re-running
 with the same configuration and seed reproduces outputs byte for byte.
-Configuration comes from an optional JSON file (--config) mirroring the
-scenario fields; a verb takes a flag of the same name for each field it
-reads, and the flag wins.  Exit codes: 0 success, 2 config/usage error,
-3 simulation failure (garage exhausted).
+The scenario schema is the fields of ``ScenarioConfig`` (``times`` those
+of ``TimeConstants``): a JSON file (--config) may set any field, typed
+by its annotation, and a verb has a flag of the same name for each field
+it reads.  Defaults, then file, then flags make one config, and a verb is
+one function of ``(config, args)``.  Exit codes: 0 success, 2
+config/usage error, 3 simulation failure (garage exhausted).
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .fitting import (
@@ -26,7 +28,7 @@ from .fitting import (
     survey_to_observations,
 )
 from .model import _check_temperature
-from .planner import GarageExhaustedError, TimeConstants
+from .planner import TimeConstants
 from .simulator import (
     Garage,
     PolicyKind,
@@ -66,19 +68,12 @@ class ScenarioConfig:
             raise ValueError("num_cars must be >= 1")
         if not 0.0 <= self.departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in [0, 1]")
-        if not self.policies:
-            raise ValueError("at least one policy is required")
         _check_temperature(self.temperature, "temperature")
         _check_temperature(self.initial_temperature, "initial_temperature")
 
 
-_SCENARIO_SCALARS = ("num_levels", "capacity_per_level", "temperature", "num_cars",
-                     "seed", "departure_prob", "initial_temperature", "output_dir")
-_CONFIG_TYPES = {"num_levels": int, "capacity_per_level": int, "temperature": (int, float),
-                 "num_cars": int, "seed": int, "departure_prob": (int, float),
-                 "initial_temperature": (int, float), "output_dir": str, "times": dict,
-                 "policies": (str, list)}
-_TIME_FIELDS = ("t1", "t2", "t3")
+#: The JSON types a config value of each annotation may have, where they differ.
+_JSON_TYPES = {float: (int, float), tuple: (str, list), TimeConstants: dict}
 
 
 def _parse_policies(value) -> tuple:
@@ -101,14 +96,8 @@ def _load_config_file(path) -> dict:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    for key, value in data.items():
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"{path}: unknown config field {key!r}")
-        _check_type(path, key, value, _CONFIG_TYPES[key])
-    for name, value in data.get("times", {}).items():
-        if name not in _TIME_FIELDS:
-            raise ValueError(f"{path}: unknown config field 'times.{name}'")
-        _check_type(path, f"times.{name}", value, (int, float))
+    _check_fields(path, data, ScenarioConfig)
+    _check_fields(path, data.get("times", {}), TimeConstants, "times.")
     if "policies" in data:
         for name in data["policies"] if isinstance(data["policies"], list) else ():
             _check_type(path, "policies", name, str)
@@ -117,6 +106,15 @@ def _load_config_file(path) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}: config field 'policies': {exc}") from None
     return data
+
+
+def _check_fields(path, data: dict, schema, prefix: str = "") -> None:
+    """Check that each key names a field of ``schema`` and has a JSON type it allows."""
+    types = {f.name: _JSON_TYPES.get(f.type, f.type) for f in fields(schema)}
+    for key, value in data.items():
+        if key not in types:
+            raise ValueError(f"{path}: unknown config field {prefix + key!r}")
+        _check_type(path, prefix + key, value, types[key])
 
 
 def _check_type(path, name: str, value, expected) -> None:
@@ -128,30 +126,15 @@ def _check_type(path, name: str, value, expected) -> None:
 
 def build_config(args) -> ScenarioConfig:
     """Merge defaults, the optional config file, and command-line flags
-    (flags win)."""
-    data = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    scalars = {}
-    for name in _SCENARIO_SCALARS:
-        if name in data:
-            scalars[name] = data[name]
-        flag = getattr(args, name, None)
-        if flag is not None:
-            scalars[name] = flag
-    if getattr(args, "out", None) is not None:
-        scalars["output_dir"] = args.out
-
-    times_kw = dict(data.get("times", {}))
-    for name in _TIME_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            times_kw[name] = flag
-
-    policies = data.get("policies", ALL_POLICIES)
-    if getattr(args, "policies", None) is not None:
-        policies = _parse_policies(args.policies)
-
-    return ScenarioConfig(times=TimeConstants(**times_kw), policies=policies, **scalars)
+    (flags win; --t1/--t2/--t3 go into ``times``)."""
+    data = _load_config_file(args.config) if args.config else {}
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    flags = {f.name: given[f.name] for f in fields(ScenarioConfig) if f.name in given}
+    if "policies" in flags:
+        flags["policies"] = _parse_policies(flags["policies"])
+    time_flags = {f.name: given[f.name] for f in fields(TimeConstants) if f.name in given}
+    times = TimeConstants(**{**data.pop("times", {}), **time_flags})
+    return ScenarioConfig(**{**data, **flags, "times": times})
 
 
 def _run_policies(config: ScenarioConfig):
@@ -170,14 +153,15 @@ def _run_policies(config: ScenarioConfig):
     return runs
 
 
-def cmd_simulate(config: ScenarioConfig) -> int:
+def cmd_simulate(config: ScenarioConfig, args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     any_failures = False
     for policy, outcomes, failures in _run_policies(config):
         write_outcomes_csv(out / f"{policy.value}_percar.csv", policy, outcomes)
-        total = sum(o.elapsed_time for o in outcomes)
+        # a float even when a config file gives the times as JSON ints
+        total = float(sum(o.elapsed_time for o in outcomes))
         summary.append({
             "policy": policy.value,
             "total_time": total,
@@ -189,11 +173,11 @@ def cmd_simulate(config: ScenarioConfig) -> int:
     return EXIT_SIMULATION if any_failures else EXIT_OK
 
 
-def cmd_sweep(config: ScenarioConfig, temperatures) -> int:
-    if not temperatures:
+def cmd_sweep(config: ScenarioConfig, args) -> int:
+    if not args.temperatures:
         raise ValueError("at least one temperature is required")
     # every scenario is built, and so checked, before any output exists
-    scenarios = [replace(config, temperature=float(t)) for t in temperatures]
+    scenarios = [replace(config, temperature=float(t)) for t in args.temperatures]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["temperature,policy,cumulative_seconds"]
@@ -207,10 +191,10 @@ def cmd_sweep(config: ScenarioConfig, temperatures) -> int:
     return EXIT_SIMULATION if any_failures else EXIT_OK
 
 
-def cmd_fit(survey_path, initial_temperature: float, out_dir=None) -> int:
-    survey = load_survey(survey_path)
+def cmd_fit(config: ScenarioConfig, args) -> int:
+    survey = load_survey(args.survey)
     energies, fills = survey_to_observations(survey)
-    result = fit_temperature(energies, fills, initial_temperature)
+    result = fit_temperature(energies, fills, config.initial_temperature)
     report = {
         "temperature": result.temperature,
         "final_loss": result.final_loss,
@@ -221,18 +205,18 @@ def cmd_fit(survey_path, initial_temperature: float, out_dir=None) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
-    if out_dir is not None:
-        out = Path(out_dir)
+    if args.output_dir is not None:  # only --out: fit ignores a config file's output_dir
+        out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "fit_report.json").write_text(text + "\n")
     return EXIT_OK
 
 
-def cmd_sample_curve(survey_path, sizes, trials: int, seed: int,
-                     initial_temperature: float, out_dir) -> int:
-    survey = load_survey(survey_path)
-    points = sample_efficiency_curve(survey, sizes, trials, seed, initial_temperature)
-    out = Path(out_dir)
+def cmd_sample_curve(config: ScenarioConfig, args) -> int:
+    survey = load_survey(args.survey)
+    points = sample_efficiency_curve(survey, args.sizes, args.trials, config.seed,
+                                     config.initial_temperature)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["sample_size,mean_mse,std_mse"]
     lines.extend(f"{p.sample_size},{p.mean_mse!r},{p.std_mse!r}" for p in points)
@@ -242,7 +226,7 @@ def cmd_sample_curve(survey_path, sizes, trials: int, seed: int,
     return EXIT_OK
 
 
-def cmd_render(config: ScenarioConfig) -> int:
+def cmd_render(config: ScenarioConfig, args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
@@ -281,37 +265,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def verb(name, help_text):
+    def verb(name, help_text, run):
         # no abbreviations, so that --temperature never stands for --temperatures
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file mirroring the scenario fields")
         p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
         return p
 
-    p = verb("simulate", "compare policies on one garage")
+    p = verb("simulate", "compare policies on one garage", cmd_simulate)
     _add_garage_flags(p)
     p.add_argument("--temperature", type=float)
     _add_run_flags(p)
 
-    p = verb("sweep", "simulate across temperatures")
+    p = verb("sweep", "simulate across temperatures", cmd_sweep)
     _add_garage_flags(p)
     _add_run_flags(p)
     p.add_argument("--temperatures", type=_comma_floats, required=True,
                    help="comma-separated temperatures, e.g. 0.1,0.5,1.0")
 
-    p = verb("fit", "fit a lot temperature from a survey CSV")
+    p = verb("fit", "fit a lot temperature from a survey CSV", cmd_fit)
     p.add_argument("--initial-temperature", dest="initial_temperature", type=float)
     p.add_argument("survey", help="survey CSV path")
 
-    p = verb("sample-curve", "sample-efficiency curve for a survey")
+    p = verb("sample-curve", "sample-efficiency curve for a survey", cmd_sample_curve)
     p.add_argument("--initial-temperature", dest="initial_temperature", type=float)
     p.add_argument("survey", help="survey CSV path")
     p.add_argument("--sizes", type=_comma_ints, required=True,
                    help="comma-separated sample sizes, e.g. 5,10,20,50,105")
     p.add_argument("--trials", type=int, default=50)
 
-    p = verb("render", "render the initialized garage")
+    p = verb("render", "render the initialized garage", cmd_render)
     _add_garage_flags(p)
     p.add_argument("--temperature", type=float)
     return parser
@@ -320,22 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(build_config(args))
-        if args.command == "sweep":
-            return cmd_sweep(build_config(args), args.temperatures)
-        if args.command == "fit":
-            return cmd_fit(args.survey, build_config(args).initial_temperature, args.out)
-        if args.command == "sample-curve":
-            config = build_config(args)
-            return cmd_sample_curve(args.survey, args.sizes, args.trials, config.seed,
-                                    config.initial_temperature, config.output_dir)
-        if args.command == "render":
-            return cmd_render(build_config(args))
-        raise ValueError(f"unknown command {args.command!r}")
-    except GarageExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        return args.run(build_config(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -236,6 +236,8 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
     n = len(energies)
     scored = _sorted_observations(energies, fills)
     sizes = [int(s) for s in sample_sizes]
+    if not sizes:
+        raise ValueError("at least one sample size is required")
     for s in sizes:
         if not 1 <= s <= n:
             raise ValueError(f"sample size {s} outside [1, {n}]")
@@ -278,10 +280,12 @@ def load_survey(path) -> LotSurvey:
     """
     poi = None
     xs, ys, occ = [], [], []
+    skipped = []  # blank and comment lines: they give a bad spot's line with no per-spot record
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
+                skipped.append(lineno)
                 continue
             parts = [p.strip() for p in line.split(",")]
             if poi is None:
@@ -293,6 +297,8 @@ def load_survey(path) -> LotSurvey:
                     poi = (float(parts[1]), float(parts[2]))
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: malformed POI coordinates") from None
+                if not all(map(math.isfinite, poi)):
+                    raise ValueError(f"{path}:{lineno}: point of interest must be finite")
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected '<x>,<y>,<0|1>'")
@@ -310,7 +316,17 @@ def load_survey(path) -> LotSurvey:
         raise ValueError(f"{path}: missing 'poi,<x>,<y>' record")
     if len(xs) < 2:
         raise ValueError(f"{path}: survey needs at least 2 spots")
-    return LotSurvey(x=np.array(xs), y=np.array(ys), occupied=np.array(occ), poi=poi)
+    x, y = np.array(xs), np.array(ys)
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        # spot i is data line i + 2, after the POI; each skipped line up to
+        # there (they ascend) moves it one line down
+        lineno = int(np.argmin(finite)) + 2
+        for s in skipped:
+            if s <= lineno:
+                lineno += 1
+        raise ValueError(f"{path}:{lineno}: spot coordinates must be finite")
+    return LotSurvey(x=x, y=y, occupied=np.array(occ), poi=poi)
 
 
 def save_survey(survey: LotSurvey, path) -> None:

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import tipp
 from tipp import LotSurvey, save_survey, synthetic_survey
-from tipp.cli import build_parser, main
+from tipp.cli import ScenarioConfig, build_parser, main
 
 HEADER = ("car_index,policy,floors_scanned,parked_floor,spot_index,"
           "elapsed_seconds,cumulative_seconds,temperature_estimate")
@@ -100,6 +101,21 @@ class TestConfigFile:
               "--policies", "optimal"])  # temperature defaults to 0.5
         assert read_summary(out_flag) == read_summary(out_direct)
         assert read_summary(out_file) != read_summary(out_flag)
+
+    def test_readme_example_is_the_defaults(self, tmp_path):
+        # the README's example sets every field, each to its default
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(example)
+        assert set(json.loads(example)) == {f.name for f in fields(ScenarioConfig)}
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--out", str(tmp_path / "b")]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -284,6 +300,18 @@ class TestFit:
         assert main(["fit", str(path)]) == 2
         assert "point of interest" in capsys.readouterr().err
 
+    def test_non_finite_spot_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "lot.csv"
+        path.write_text("poi,0,0\n2,0,0\n1,nan,0\n")
+        assert main(["fit", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: spot coordinates must be finite\n"
+
+    def test_non_finite_point_of_interest_names_the_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "lot.csv"
+        path.write_text("poi,inf,0\n1,0,1\n2,0,0\n")
+        assert main(["fit", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: point of interest must be finite\n"
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_fit_setting_is_usage_error(self, tmp_path, capsys, value):
         path = tmp_path / "lot.csv"
@@ -311,6 +339,15 @@ class TestSampleCurve:
         assert main(["sample-curve", str(path), "--sizes", "31",
                      "--out", str(tmp_path / "c")]) == 2
         assert "sample size" in capsys.readouterr().err
+
+    def test_empty_size_list_is_usage_error(self, tmp_path, capsys):
+        # like sweep --temperatures '', not a header-only curve
+        path = tmp_path / "lot.csv"
+        save_survey(synthetic_survey(30, 0.5, seed=2), path)
+        assert main(["sample-curve", str(path), "--sizes", "",
+                     "--out", str(tmp_path / "c")]) == 2
+        assert "at least one sample size is required" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 class TestRender:

@@ -342,6 +342,11 @@ class TestSampleEfficiencyCurve:
         with pytest.raises(ValueError):
             sample_efficiency_curve(survey, [5], trials_per_size=0, seed=0)
 
+    def test_requires_a_sample_size(self):
+        survey = synthetic_survey(40, 0.5, seed=3)
+        with pytest.raises(ValueError, match="at least one sample size is required"):
+            sample_efficiency_curve(survey, [], trials_per_size=2, seed=0)
+
 
 class TestSurveyIO:
     def test_roundtrip(self, tmp_path):
@@ -383,6 +388,23 @@ class TestSurveyIO:
         path = tmp_path / "lot.csv"
         path.write_text("poi,0,0\n1,0,1\n")
         with pytest.raises(ValueError, match="at least 2"):
+            load_survey(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("poi,0,0\n1,0,1\nnan,0,0\n", 3),
+        ("poi,0,0\n-inf,0,1\n2,0,0\n", 2),
+        ("# lot\npoi,0,0\n\n1,0,1\n# row 2\n2,3,0\n\n1,inf,0\n3,3,1\n", 8),
+    ])
+    def test_non_finite_spot_reports_line_number(self, tmp_path, text, line):
+        path = tmp_path / "lot.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"lot.csv:{line}: spot coordinates must be finite"):
+            load_survey(path)
+
+    def test_non_finite_poi_record_reports_line_number(self, tmp_path):
+        path = tmp_path / "lot.csv"
+        path.write_text("# lot\npoi,0,nan\n1,0,1\n2,0,0\n")
+        with pytest.raises(ValueError, match="lot.csv:2: point of interest must be finite"):
             load_survey(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
