@@ -98,6 +98,8 @@ def _load_config_file(path) -> dict:
         raise ValueError(f"{path}: config must be a JSON object")
     _check_fields(path, data, ScenarioConfig)
     _check_fields(path, data.get("times", {}), TimeConstants, "times.")
+    _coerce_floats(path, data, ScenarioConfig)
+    _coerce_floats(path, data.get("times", {}), TimeConstants, "times.")
     if "policies" in data:
         for name in data["policies"] if isinstance(data["policies"], list) else ():
             _check_type(path, "policies", name, str)
@@ -115,6 +117,18 @@ def _check_fields(path, data: dict, schema, prefix: str = "") -> None:
         if key not in types:
             raise ValueError(f"{path}: unknown config field {prefix + key!r}")
         _check_type(path, prefix + key, value, types[key])
+
+
+def _coerce_floats(path, data: dict, schema, prefix: str = "") -> None:
+    """Turn the JSON integers of ``schema``'s float fields into floats, as
+    their flags' ``type=float`` does."""
+    for f in fields(schema):
+        if f.type is float and f.name in data:
+            try:
+                data[f.name] = float(data[f.name])
+            except OverflowError:
+                raise ValueError(f"{path}: config field {prefix + f.name!r} is too large "
+                                 "for a float") from None
 
 
 def _check_type(path, name: str, value, expected) -> None:
@@ -160,8 +174,7 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
     any_failures = False
     for policy, outcomes, failures in _run_policies(config):
         write_outcomes_csv(out / f"{policy.value}_percar.csv", policy, outcomes)
-        # a float even when a config file gives the times as JSON ints
-        total = float(sum(o.elapsed_time for o in outcomes))
+        total = sum((o.elapsed_time for o in outcomes), 0.0)
         summary.append({
             "policy": policy.value,
             "total_time": total,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import T_MAX, T_MIN, _check_temperature, _q, spot_occupancy_prob
+from .model import _ENERGY_CAP, T_MAX, T_MIN, _check_temperature, _q, spot_occupancy_prob
 
 #: Smallest move in u = log T the fit resolves: a Newton step no longer
 #: than this has converged, and the line search halves down to it.
@@ -116,6 +116,8 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
     """Validate observation arrays and sort them by (energy, fill).
 
     Sorting makes the loss (a mean) exactly invariant to input order.
+    Energies above 700 T_MAX are clipped to it after the sort, so E/T
+    stays finite; q is unchanged, as E/T >= 700 is capped either way.
     """
     e = np.asarray(energies, dtype=float)
     f = np.asarray(fills, dtype=float)
@@ -123,12 +125,16 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("energies and fills must be 1-D arrays of equal length")
     if e.size == 0:
         raise ValueError("observations must be non-empty")
-    if not (e.min() >= 0 and e.max() < math.inf):  # NaN fails both
+    hi = e.max()
+    if not (e.min() >= 0 and hi < math.inf):  # NaN fails both
         raise ValueError("energies must be finite and non-negative")
     if not (f.min() >= 0 and f.max() <= 1):
         raise ValueError("fills must lie in [0, 1]")
     order = np.lexsort((f, e))
-    return e[order], f[order]
+    e = e[order]
+    if hi > _ENERGY_CAP:
+        np.minimum(e, _ENERGY_CAP, out=e)
+    return e, f[order]
 
 
 def mse_loss(temperature: float, energies, fills) -> float:

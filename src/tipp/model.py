@@ -32,6 +32,9 @@ import numpy as np
 #: Domain of the temperature parameter.
 T_MIN = 1e-3
 T_MAX = 10.0
+#: An energy above this has E/T >= 700 at every temperature, where q is
+#: capped anyway; clipping to it keeps E/T finite.
+_ENERGY_CAP = 700.0 * T_MAX
 
 
 def _check_temperature(value, name: str) -> None:
@@ -55,7 +58,8 @@ def spot_occupancy_prob(energy, temperature: float):
 
     ``energy`` may be a scalar or an array; the return type matches.
     q(0, T) = 1 exactly; while E/T < 700, q is strictly decreasing in
-    energy and, for E > 0, strictly increasing in temperature.
+    energy and, for E > 0, strictly increasing in temperature.  Energies
+    above 700 T_MAX are clipped to it, which leaves every q unchanged.
     """
     _check_temperature(temperature, "temperature")
     e = np.asarray(energy, dtype=float)
@@ -65,6 +69,8 @@ def spot_occupancy_prob(energy, temperature: float):
             raise ValueError("energy must be finite")
         if lo < 0:
             raise ValueError("energy must be non-negative")
+        if hi > _ENERGY_CAP:
+            e = np.minimum(e, _ENERGY_CAP)
     q = _q(e / temperature)
     if np.ndim(energy) == 0:
         return float(q)

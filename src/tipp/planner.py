@@ -164,6 +164,10 @@ class TippState:
 
     temperature_estimate: float = 0.5
     floor_observations: dict = field(default_factory=dict)
+    # plan_parking's one-entry memos, private to this state:
+    # (key, fitted T) and (key, (availability, DpSolution))
+    _fit_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _plan_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_temperature(self.temperature_estimate, "temperature_estimate")
@@ -194,21 +198,39 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     on {(E(k), fill_k)} starting from the current estimate; otherwise
     the prior estimate is kept.  The fit and q read the same floor
     energies, ``level_energies(N)``.  Availabilities follow from the model
-    and the DP supplies u(from_floor).  ``state`` is only read.
+    and the DP supplies u(from_floor).
+
+    The call writes two one-entry memos on ``state`` and nothing else:
+    the fit, keyed by a snapshot of the observations, the start
+    temperature and N, and the availabilities and DP solution, keyed by
+    (T, N, S, times).  A call whose key matches the previous one reuses
+    its result, which is exactly what recomputing would give; a caller
+    that edits ``floor_observations`` changes the key and gets a refit.
+    The memoised arrays are shared by later plans, so they are read-only.
     """
     energies = level_energies(num_levels)  # first: num_levels < 1 is a ValueError
     if from_floor >= num_levels:
         raise GarageExhaustedError("garage exhausted: no floor below the current one")
     temperature = state.temperature_estimate
     if state.floor_observations:
-        floors = np.array(list(state.floor_observations))
-        if not (floors.min() >= 1 and floors.max() <= num_levels):
-            raise ValueError(f"observed floors must lie in [1, {num_levels}]")
-        fills = list(state.floor_observations.values())
-        temperature = fit_temperature(energies[floors - 1], fills, temperature).temperature
-    q = spot_occupancy_prob(energies, temperature)
-    availability = level_availability_prob(q, capacity_per_level)
-    solution = solve_dp(availability, times)
+        key = (tuple(state.floor_observations.items()), temperature, num_levels)
+        if state._fit_memo[0] != key:
+            floors = np.array(list(state.floor_observations))
+            if not (floors.min() >= 1 and floors.max() <= num_levels):
+                raise ValueError(f"observed floors must lie in [1, {num_levels}]")
+            fills = list(state.floor_observations.values())
+            fitted = fit_temperature(energies[floors - 1], fills, temperature).temperature
+            state._fit_memo = (key, fitted)
+        temperature = state._fit_memo[1]
+    key = (temperature, num_levels, capacity_per_level, times)
+    if state._plan_memo[0] != key:
+        q = spot_occupancy_prob(energies, temperature)
+        availability = level_availability_prob(q, capacity_per_level)
+        solution = solve_dp(availability, times)
+        for array in (availability, solution.values, solution.actions):
+            array.flags.writeable = False
+        state._plan_memo = (key, (availability, solution))
+    availability, solution = state._plan_memo[1]
     return TippPlan(
         next_floor=solution.action(from_floor),
         temperature=temperature,

@@ -4,13 +4,16 @@ These deliberately re-derive results through different routes than the
 library: occupancy via a direct formula expression, temperature fitting
 via dense grid search and via first-order descent on T, the descent
 program via exhaustive enumeration of committed itineraries and via a
-full O(N^2) scan of every j > i, and the time law via per-segment
-accounting.
+full O(N^2) scan of every j > i, the time law via per-segment
+accounting, and the tipp closed loop via plans that each start from a
+fresh copy of the policy memory, so no memo carries over.
 """
 
 import itertools
 
 import numpy as np
+
+from tipp import TippState, plan_parking
 
 
 def q_reference(energy, temperature, k=1.0):
@@ -145,6 +148,36 @@ def segment_accounting(itinerary, t1, t2, t3):
         drive += (floor - position) * t3
         position = floor
     return len(itinerary) * t1 + drive + itinerary[-1] * t2
+
+
+def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):
+    """The tipp closed loop of ``run_policy_sequence``, with every plan
+    made on a fresh ``TippState`` copied from the memory, so no plan
+    reuses anything an earlier plan computed.  Fills are counted on the
+    grid itself.  Stops at the first car that finds no spot.  Returns
+    (floors_scanned, parked_floor, spot_index, elapsed_time,
+    temperature_estimate_after) per placed car."""
+    n, s = garage.num_levels, garage.capacity_per_level
+    estimate = 0.5 if garage.init_temperature is None else garage.init_temperature
+    observations = {}
+    cars = []
+    for _ in range(num_cars):
+        floors, here, spot = [], 0, None
+        while spot is None and here < n:
+            state = TippState(temperature_estimate=estimate,
+                              floor_observations=dict(observations))
+            plan = plan_parking(state, here, n, s, times)
+            estimate, here = plan.temperature, plan.next_floor
+            floors.append(here)
+            spot = garage.scan_and_park(here)
+            observations[here] = int(garage.occupancy[here - 1].sum()) / s
+        if spot is None:
+            break
+        elapsed = segment_accounting(floors, times.t1, times.t2, times.t3)
+        cars.append((tuple(floors), here, spot, elapsed, estimate))
+        if departure_prob > 0.0:
+            garage.renewal_step(departure_prob)
+    return cars
 
 
 def central_difference(f, x, h):

@@ -191,6 +191,42 @@ class TestConfigFile:
             assert "temperature 20" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("data, flags", [
+        ({"temperature": 20}, ["--temperature", "20"]),
+        ({"departure_prob": 2}, ["--departure-prob", "2"]),
+        ({"times": {"t1": 0}}, ["--t1", "0"]),
+    ])
+    def test_json_integer_reads_as_the_flag_does(self, tmp_path, capsys, data, flags):
+        # a float field's JSON integer becomes a float, so the file and the
+        # flag give the same message (temperature 20.0, not 20)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["simulate", "--config", str(cfg), *out]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["simulate", *flags, *out]) == 2
+        assert capsys.readouterr().err == from_file
+        if "temperature" in data:
+            assert "temperature 20.0 outside" in from_file
+
+    def test_json_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"times": {"t1": 1' + "0" * 400 + "}}")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: config field 'times.t1' is too large for a float" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_json_integer_config_gives_float_fields(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temperature": 1, "departure_prob": 0,
+                                   "times": {"t1": 30, "t2": 10, "t3": 5}}))
+        args = build_parser().parse_args(["simulate", "--config", str(cfg)])
+        config = tipp.cli.build_config(args)
+        for value in (config.temperature, config.departure_prob, *vars(config.times).values()):
+            assert type(value) is float
+
 
 class TestSweep:
     def test_single_temperature_matches_simulate(self, tmp_path):

@@ -96,6 +96,18 @@ class TestSpotOccupancyProb:
         assert np.all((qs >= 0.0) & (qs <= 1.0))
         assert qs[0] == 1.0
 
+    @pytest.mark.parametrize("temperature", [T_MIN, 1.0, T_MAX])
+    def test_huge_energy_gives_the_capped_q_without_overflow(self, temperature):
+        # E/T would overflow to inf; energies above 700 T_MAX are clipped
+        # first, and q there is the kernel's cap q(x=700) at any T
+        capped = 2.0 / (1.0 + np.exp(700.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spot_occupancy_prob(1.7e308, temperature) == capped
+            qs = spot_occupancy_prob(np.array([0.5, 7000.0, 1e300, 1.7e308]), temperature)
+        assert qs[0] == spot_occupancy_prob(0.5, temperature)
+        assert np.all(qs[1:] == capped)
+
     @given(st.floats(min_value=0.0, max_value=50.0),
            st.floats(min_value=T_MIN, max_value=T_MAX))
     @settings(max_examples=300)

@@ -349,3 +349,102 @@ class TestTippDecide:
         q_energies = seen["spot_occupancy_prob"]
         assert q_energies.tobytes() == level_energies(41).tobytes()
         assert seen["fit_temperature"].tobytes() == q_energies[[32, 4]].tobytes()
+
+
+def fresh(state):
+    """A copy of the memory with no memo entries."""
+    return TippState(temperature_estimate=state.temperature_estimate,
+                     floor_observations=dict(state.floor_observations))
+
+
+def assert_same_plan(a, b):
+    assert (a.next_floor, a.temperature) == (b.next_floor, b.temperature)
+    assert a.availability.tobytes() == b.availability.tobytes()
+    assert a.solution.values.tobytes() == b.solution.values.tobytes()
+    assert a.solution.actions.tobytes() == b.solution.actions.tobytes()
+    assert a.solution.entrance_value == b.solution.entrance_value
+
+
+class TestPlanMemo:
+    """plan_parking's one-entry fit and plan memos on the TippState."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("fit_temperature", "solve_dp"):
+            def counting(*args, _name=name, _fn=getattr(tipp.planner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tipp.planner, name, counting)
+        return calls
+
+    def test_unchanged_replan_reuses_the_fit_and_the_solution(self, calls):
+        state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
+        first = plan_parking(state, 0, 10, 30, TIMES)
+        for floor in (0, 2, 5):
+            expected = plan_parking(fresh(state), floor, 10, 30, TIMES)
+            assert_same_plan(plan_parking(state, floor, 10, 30, TIMES), expected)
+        assert plan_parking(state, 0, 10, 30, TIMES).solution is first.solution
+        # one fit and one solve for the state, one each for the three fresh copies
+        assert calls == Counter({"fit_temperature": 4, "solve_dp": 4})
+
+    def test_memoised_arrays_are_read_only(self):
+        # later plans share these arrays, so none may be written through a plan
+        plan = plan_parking(TippState(floor_observations={2: 1.0}), 0, 10, 30, TIMES)
+        for array in (plan.availability, plan.solution.values, plan.solution.actions):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_direct_edit_of_observations_forces_a_refit(self, calls):
+        state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0})
+        plan_parking(state, 0, 10, 30, TIMES)
+        for edit in ({3: 0.2}, {8: 0.4}):
+            state.floor_observations.update(edit)  # in place: the same dict object
+            assert_same_plan(plan_parking(state, 0, 10, 30, TIMES),
+                             plan_parking(fresh(state), 0, 10, 30, TIMES))
+        assert calls["fit_temperature"] == 5
+        # a bad entry added after a good plan is still rejected, never served
+        state.floor_observations[11] = 0.5
+        with pytest.raises(ValueError, match="observed floors"):
+            plan_parking(state, 0, 10, 30, TIMES)
+
+    @pytest.mark.parametrize("start, shape, times, fits, solves", [
+        # a new start refits; both fits end pinned at T_MAX, so the
+        # solution is reused
+        (2.0, (10, 30), TIMES, 3, 2),
+        (0.5, (12, 30), TIMES, 3, 3),  # a new N refits: the energies change
+        (0.5, (10, 8), TIMES, 2, 3),
+        (0.5, (10, 30), TimeConstants(t1=60.0), 2, 3),
+    ])
+    def test_a_new_start_shape_or_times_misses(self, calls, start, shape, times, fits,
+                                               solves):
+        state = TippState(temperature_estimate=0.5, floor_observations={4: 1.0})
+        assert plan_parking(state, 0, 10, 30, TIMES).temperature == T_MAX
+        state.temperature_estimate = start
+        assert_same_plan(plan_parking(state, 0, *shape, times),
+                         plan_parking(fresh(state), 0, *shape, times))
+        assert calls == Counter({"fit_temperature": fits, "solve_dp": solves})
+
+    def test_interleaved_states_share_no_entries(self, calls):
+        a = TippState(temperature_estimate=0.5, floor_observations={2: 1.0, 5: 0.95})
+        b = TippState(temperature_estimate=0.5, floor_observations={2: 0.3})
+        for _ in range(2):
+            for state in (a, b):
+                assert_same_plan(plan_parking(state, 0, 10, 30, TIMES),
+                                 plan_parking(fresh(state), 0, 10, 30, TIMES))
+        # one fit and one solve per state, kept across the other's plans,
+        # plus one each for every fresh copy
+        assert calls == Counter({"fit_temperature": 6, "solve_dp": 6})
+        memos = (a._fit_memo, a._plan_memo)
+        plan_parking(b, 3, 10, 30, TIMES)
+        assert a._fit_memo is memos[0] and a._plan_memo is memos[1]
+        assert a._plan_memo[1][1] is not b._plan_memo[1][1]
+
+    def test_memos_stay_out_of_init_repr_and_equality(self):
+        used, unused = (TippState(floor_observations={2: 1.0}) for _ in range(2))
+        plan_parking(used, 0, 10, 30, TIMES)
+        assert used._fit_memo[1] is not None and unused._fit_memo == (None, None)
+        assert used == unused
+        assert repr(used) == repr(unused) and "memo" not in repr(used)
+        with pytest.raises(TypeError):
+            TippState(_fit_memo=None)

@@ -2,8 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tipp import (
+    T_MAX,
+    T_MIN,
     Garage,
     GarageExhaustedError,
     PolicyKind,
@@ -19,6 +23,8 @@ from tipp import (
     total_time,
     write_outcomes_csv,
 )
+
+from oracles import tipp_sequence_replanned_fresh
 
 TIMES = TimeConstants()
 
@@ -322,6 +328,30 @@ class TestRunPolicySequence:
         estimates = [o.temperature_estimate_after for o in outcomes]
         assert all(e is not None for e in estimates)
         assert len(set(estimates)) > 1
+
+
+class TestTippMemo:
+    @given(st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=40),
+           st.floats(min_value=T_MIN, max_value=T_MAX),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([0.0, 0.05]),
+           st.integers(min_value=1, max_value=60))
+    @settings(max_examples=60, deadline=None)
+    def test_outcomes_equal_replanning_from_fresh_copies(self, n, s, temperature, seed,
+                                                         departure_prob, num_cars):
+        # the fit and plan memos on the TippState may only skip work,
+        # never change a decision, an estimate or a spot
+        garage = Garage.from_temperature(n, s, temperature, seed=seed)
+        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, num_cars, TIMES,
+                                       departure_prob=departure_prob)
+        fresh = Garage.from_temperature(n, s, temperature, seed=seed)
+        expected = tipp_sequence_replanned_fresh(fresh, num_cars, TIMES, departure_prob)
+        got = [(o.floors_scanned, o.parked_floor, o.spot_index, o.elapsed_time,
+                o.temperature_estimate_after) for o in outcomes]
+        assert got == expected
+        assert [o.car_index for o in outcomes] == list(range(len(outcomes)))
+        assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
 
 
 class TestSingleCarDominance:
