@@ -22,7 +22,6 @@ from .model import (
 )
 from .planner import (
     DpSolution,
-    GarageExhaustedError,
     TimeConstants,
     TippPlan,
     TippState,

@@ -12,7 +12,7 @@ of ``TimeConstants``): a JSON file (--config) may set any field, typed
 by its annotation, and a verb has a flag of the same name for each field
 it reads.  Defaults, then file, then flags make one config, and a verb is
 one function of ``(config, args)``.  Exit codes: 0 success, 2
-config/usage error, 3 simulation failure (garage exhausted).
+config/usage error, 3 a car was stranded or turned away.
 """
 
 import argparse
@@ -163,7 +163,8 @@ def _run_policies(config: ScenarioConfig):
                                          config.temperature, config.seed)
         outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
                                        departure_prob=config.departure_prob)
-        runs.append((policy, outcomes, config.num_cars - len(outcomes)))
+        parked = sum(o.parked_floor is not None for o in outcomes)
+        runs.append((policy, outcomes, parked))
     return runs
 
 
@@ -171,19 +172,20 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    any_failures = False
-    for policy, outcomes, failures in _run_policies(config):
+    all_parked = True
+    for policy, outcomes, parked in _run_policies(config):
         write_outcomes_csv(out / f"{policy.value}_percar.csv", policy, outcomes)
         total = sum((o.elapsed_time for o in outcomes), 0.0)
         summary.append({
             "policy": policy.value,
             "total_time": total,
             "mean_time": total / len(outcomes) if outcomes else 0.0,
-            "failures": failures,
+            "stranded": len(outcomes) - parked,
+            "turned_away": config.num_cars - len(outcomes),
         })
-        any_failures = any_failures or failures > 0
+        all_parked = all_parked and parked == config.num_cars
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return EXIT_SIMULATION if any_failures else EXIT_OK
+    return EXIT_OK if all_parked else EXIT_SIMULATION
 
 
 def cmd_sweep(config: ScenarioConfig, args) -> int:
@@ -194,14 +196,14 @@ def cmd_sweep(config: ScenarioConfig, args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["temperature,policy,cumulative_seconds"]
-    any_failures = False
+    all_parked = True
     for scenario in scenarios:
-        for policy, outcomes, failures in _run_policies(scenario):
+        for policy, outcomes, parked in _run_policies(scenario):
             total = sum(o.elapsed_time for o in outcomes)
             lines.append(f"{scenario.temperature!r},{policy.value},{total:.6f}")
-            any_failures = any_failures or failures > 0
+            all_parked = all_parked and parked == scenario.num_cars
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_SIMULATION if any_failures else EXIT_OK
+    return EXIT_OK if all_parked else EXIT_SIMULATION
 
 
 def cmd_fit(config: ScenarioConfig, args) -> int:

@@ -36,10 +36,6 @@ from .model import (
 )
 
 
-class GarageExhaustedError(RuntimeError):
-    """No reachable floor can yield a parking spot."""
-
-
 @dataclass(frozen=True)
 class TimeConstants:
     """Per-floor time constants, in seconds."""
@@ -145,12 +141,18 @@ def total_time(floors, times: TimeConstants) -> float:
     n*t1 + a*(t2 + t3)."""
     if not floors or min(floors) < 1:
         raise ValueError("an itinerary is a non-empty sequence of floors >= 1")
+    return _scan_and_drive_time(floors, times) + floors[-1] * times.t2
+
+
+def _scan_and_drive_time(floors, times: TimeConstants) -> float:
+    """t1 per floor scanned plus t3 per floor driven, from the entrance:
+    the time of a car that parks nowhere, so walks nowhere."""
     driven = 0
     here = 0
     for floor in floors:
         driven += abs(floor - here)
         here = floor
-    return len(floors) * times.t1 + driven * times.t3 + here * times.t2
+    return len(floors) * times.t1 + driven * times.t3
 
 
 @dataclass
@@ -191,14 +193,14 @@ class TippPlan:
 def plan_parking(state: TippState, from_floor: int, num_levels: int,
                  capacity_per_level: int, times: TimeConstants) -> TippPlan:
     """Re-estimate, re-solve, and pick the next floor below ``from_floor``
-    (0 = entrance) in a garage of ``num_levels`` floors of
-    ``capacity_per_level`` spots each.
+    (0 = entrance, at most N - 1, else a ValueError) in a garage of
+    ``num_levels`` floors of ``capacity_per_level`` spots each.
 
     If any floor fills have been observed, the temperature is refitted
     on {(E(k), fill_k)} starting from the current estimate; otherwise
     the prior estimate is kept.  The fit and q read the same floor
-    energies, ``level_energies(N)``.  Availabilities follow from the model
-    and the DP supplies u(from_floor).
+    energies, ``level_energies(N)``, built only when a memo misses.
+    Availabilities follow from the model and the DP supplies u(from_floor).
 
     The call writes two one-entry memos on ``state`` and nothing else:
     the fit, keyed by a snapshot of the observations, the start
@@ -208,9 +210,8 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     that edits ``floor_observations`` changes the key and gets a refit.
     The memoised arrays are shared by later plans, so they are read-only.
     """
-    energies = level_energies(num_levels)  # first: num_levels < 1 is a ValueError
-    if from_floor >= num_levels:
-        raise GarageExhaustedError("garage exhausted: no floor below the current one")
+    if num_levels < 1:  # the first error on every path, memo hit or miss
+        raise ValueError("num_levels must be >= 1")
     temperature = state.temperature_estimate
     if state.floor_observations:
         key = (tuple(state.floor_observations.items()), temperature, num_levels)
@@ -219,12 +220,13 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
             if not (floors.min() >= 1 and floors.max() <= num_levels):
                 raise ValueError(f"observed floors must lie in [1, {num_levels}]")
             fills = list(state.floor_observations.values())
-            fitted = fit_temperature(energies[floors - 1], fills, temperature).temperature
+            energies = level_energies(num_levels)[floors - 1]
+            fitted = fit_temperature(energies, fills, temperature).temperature
             state._fit_memo = (key, fitted)
         temperature = state._fit_memo[1]
     key = (temperature, num_levels, capacity_per_level, times)
     if state._plan_memo[0] != key:
-        q = spot_occupancy_prob(energies, temperature)
+        q = spot_occupancy_prob(level_energies(num_levels), temperature)
         availability = level_availability_prob(q, capacity_per_level)
         solution = solve_dp(availability, times)
         for array in (availability, solution.values, solution.actions):

@@ -25,13 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .model import level_energies, level_fill_count, spot_occupancy_prob
-from .planner import (
-    GarageExhaustedError,
-    TimeConstants,
-    TippState,
-    plan_parking,
-    total_time,
-)
+from .planner import TimeConstants, TippState, _scan_and_drive_time, plan_parking, total_time
 
 
 class PolicyKind(str, Enum):
@@ -43,7 +37,8 @@ class PolicyKind(str, Enum):
 
 @dataclass(frozen=True)
 class ArrivalOutcome:
-    """One car's journey: floors visited, where it parked, elapsed seconds."""
+    """One car's journey: floors visited, where it parked (None for a
+    stranded car, whose policy ran out of floors), elapsed seconds."""
 
     car_index: int
     floors_scanned: tuple
@@ -143,8 +138,9 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
 
     Returns the outcome and, for the tipp policy, the policy memory:
     ``tipp_state`` itself, updated in place, or a fresh one started from
-    the garage's temperature (None for the other policies).  Raises
-    GarageExhaustedError when the policy runs out of floors to try.
+    the garage's temperature (None for the other policies).  A car whose
+    policy runs out of floors to try gets an outcome too, stranded: no
+    floor or spot, and t1 per scan plus t3 per floor driven, no walk.
     """
     if times is None:
         times = TimeConstants()
@@ -165,19 +161,20 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
                               if garage.init_temperature is not None else 0.5)
         floors = _tipp_floors(garage, times, state)
 
-    scanned = []
+    scanned, spot = [], None
     for floor in floors:
         scanned.append(floor)
         spot = garage.scan_and_park(floor)
         if state is not None:
             state.floor_observations[floor] = garage.level_fill_fraction(floor)
         if spot is not None:
-            estimate = None if state is None else state.temperature_estimate
-            outcome = ArrivalOutcome(car_index, tuple(scanned), floor, spot,
-                                     total_time(scanned, times), estimate)
-            return outcome, state
-    raise GarageExhaustedError(
-        f"garage exhausted: {policy.value} car {car_index} found no spot")
+            break
+    if spot is None:  # stranded
+        parked, elapsed = None, _scan_and_drive_time(scanned, times)
+    else:
+        parked, elapsed = scanned[-1], total_time(scanned, times)
+    estimate = None if state is None else state.temperature_estimate
+    return ArrivalOutcome(car_index, tuple(scanned), parked, spot, elapsed, estimate), state
 
 
 def _tipp_floors(garage: Garage, times: TimeConstants, state: TippState):
@@ -201,11 +198,12 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
                         departure_prob: float = 0.0) -> list[ArrivalOutcome]:
     """Insert cars sequentially under one policy.
 
-    Stops early if the garage is exhausted; the returned list then holds
-    fewer than ``num_cars`` outcomes.  The tipp policy's memory starts
-    from the temperature the garage was built at and carries over from
-    car to car.  A positive ``departure_prob`` applies one renewal step
-    after every arrival.
+    Every car's outcome is kept, a stranded car's too.  Only a car that
+    parks nowhere in a full garage ends the run: it and every later car
+    are turned away, so the list then holds fewer than ``num_cars``
+    outcomes.  The tipp policy's memory starts from the temperature the
+    garage was built at and carries over from car to car.  A positive
+    ``departure_prob`` applies one renewal step after every arrival.
     """
     if num_cars < 1:
         raise ValueError("num_cars must be >= 1")
@@ -215,10 +213,8 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     state = None
     outcomes = []
     for car in range(num_cars):
-        try:
-            outcome, state = run_arrival(garage, policy, times, tipp_state=state,
-                                         car_index=car)
-        except GarageExhaustedError:
+        outcome, state = run_arrival(garage, policy, times, tipp_state=state, car_index=car)
+        if outcome.parked_floor is None and garage.lowest_free_floor() is None:
             break
         outcomes.append(outcome)
         if departure_prob > 0.0:

@@ -154,9 +154,12 @@ def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):
     """The tipp closed loop of ``run_policy_sequence``, with every plan
     made on a fresh ``TippState`` copied from the memory, so no plan
     reuses anything an earlier plan computed.  Fills are counted on the
-    grid itself.  Stops at the first car that finds no spot.  Returns
-    (floors_scanned, parked_floor, spot_index, elapsed_time,
-    temperature_estimate_after) per placed car."""
+    grid itself.  A car that reaches the deepest floor without a spot is
+    stranded: it is recorded with no floor or spot and a time of t1 per
+    scan plus t3 per floor driven down, no walk.  The run stops at the
+    first car that finds no spot while every cell of the grid is taken.
+    Returns (floors_scanned, parked_floor, spot_index, elapsed_time,
+    temperature_estimate_after) per recorded car."""
     n, s = garage.num_levels, garage.capacity_per_level
     estimate = 0.5 if garage.init_temperature is None else garage.init_temperature
     observations = {}
@@ -171,10 +174,14 @@ def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):
             floors.append(here)
             spot = garage.scan_and_park(here)
             observations[here] = int(garage.occupancy[here - 1].sum()) / s
-        if spot is None:
+        if spot is not None:
+            elapsed = segment_accounting(floors, times.t1, times.t2, times.t3)
+            cars.append((tuple(floors), here, spot, elapsed, estimate))
+        elif garage.occupancy.all():
             break
-        elapsed = segment_accounting(floors, times.t1, times.t2, times.t3)
-        cars.append((tuple(floors), here, spot, elapsed, estimate))
+        else:
+            cars.append((tuple(floors), None, None, len(floors) * times.t1 + here * times.t3,
+                         estimate))
         if departure_prob > 0.0:
             garage.renewal_step(departure_prob)
     return cars

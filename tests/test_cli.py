@@ -41,7 +41,7 @@ class TestSimulate:
             rows = csv_rows(out / f"{entry['policy']}_percar.csv")
             assert sum(float(r[5]) for r in rows) == pytest.approx(entry["total_time"])
             assert float(rows[-1][6]) == pytest.approx(entry["total_time"])
-            assert entry["failures"] == 0
+            assert (entry["stranded"], entry["turned_away"]) == (0, 0)
             assert entry["mean_time"] == pytest.approx(entry["total_time"] / len(rows))
 
     def test_policy_subset_flag(self, tmp_path):
@@ -59,7 +59,23 @@ class TestSimulate:
                      "--policies", "benchmark"])
         assert code == 3
         (entry,) = read_summary(out)
-        assert entry["failures"] == 2
+        assert (entry["stranded"], entry["turned_away"]) == (0, 2)
+        assert len(csv_rows(out / "benchmark_percar.csv")) == 1
+
+    def test_stranded_cars_keep_their_rows_and_exit_code_3(self, tmp_path):
+        # 10x30 at T=1.0 has 55 free spots; tipp drives past the one on
+        # floor 2, so car 54 and every later car are stranded, not turned away
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--temperature", "1.0",
+                     "--num-cars", "400"]) == 3
+        summary = {e["policy"]: e for e in read_summary(out)}
+        assert summary["tipp"]["stranded"] > 0 and summary["tipp"]["turned_away"] == 0
+        for policy in ("benchmark", "inverse", "optimal"):
+            assert (summary[policy]["stranded"], summary[policy]["turned_away"]) == (0, 345)
+        rows = csv_rows(out / "tipp_percar.csv")
+        assert len(rows) == 400
+        assert [r[3] == "" for r in rows] == [car >= 54 for car in range(400)]
+        assert summary["tipp"]["stranded"] == 346
 
     def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path / "x"), "--policies", "psychic"])

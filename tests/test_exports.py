@@ -13,7 +13,7 @@ def test_public_exports_are_pinned():
         "FitResult", "LotSurvey", "SampleEfficiencyPoint", "fit_temperature", "load_survey",
         "mse_loss", "sample_efficiency_curve", "save_survey", "survey_to_observations",
         "synthetic_survey",
-        "DpSolution", "GarageExhaustedError", "TimeConstants", "TippPlan", "TippState",
+        "DpSolution", "TimeConstants", "TippPlan", "TippState",
         "plan_parking", "solve_dp", "total_time",
         "ArrivalOutcome", "Garage", "PolicyKind", "render_ppm", "render_text", "run_arrival",
         "run_policy_sequence", "write_outcomes_csv",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tipp import (
     T_MAX,
-    GarageExhaustedError,
     TimeConstants,
     TippState,
     level_availability_prob,
@@ -255,6 +254,13 @@ class TestTippDecide:
         with pytest.raises(ValueError, match="must be >= 1"):
             plan_parking(TippState(), 0, num_levels, capacity, TIMES)
 
+    def test_empty_garage_is_the_first_error_with_observations_too(self):
+        # observed floor 3 lies outside a 0-floor garage, but the size is checked first
+        state = TippState(floor_observations={3: 1.0})
+        plan_parking(state, 0, 10, 30, TIMES)  # both memos now hold entries
+        with pytest.raises(ValueError, match="num_levels must be >= 1"):
+            plan_parking(state, 0, 0, 30, TIMES)
+
     def _availability(self, temperature):
         q = spot_occupancy_prob(level_energies(10), temperature)
         return level_availability_prob(q, 30)
@@ -285,9 +291,10 @@ class TestTippDecide:
             assert plan_parking(state, floor, 10, 30, TIMES).next_floor > floor
 
     def test_exhausted_at_bottom(self):
-        state = TippState(temperature_estimate=0.5)
-        with pytest.raises(GarageExhaustedError):
-            plan_parking(state, 10, 10, 30, TIMES)
+        # no floor lies below the deepest one, so there is no plan from it
+        for from_floor in (10, 11):
+            with pytest.raises(ValueError, match=f"no action from floor {from_floor}"):
+                plan_parking(TippState(temperature_estimate=0.5), from_floor, 10, 30, TIMES)
 
     def test_rejects_a_floor_above_the_entrance(self):
         with pytest.raises(ValueError):
@@ -439,6 +446,22 @@ class TestPlanMemo:
         plan_parking(b, 3, 10, 30, TIMES)
         assert a._fit_memo is memos[0] and a._plan_memo is memos[1]
         assert a._plan_memo[1][1] is not b._plan_memo[1][1]
+
+    def test_energies_are_built_only_on_a_miss(self, monkeypatch):
+        built = []
+
+        def counting(n, _fn=tipp.planner.level_energies):
+            built.append(n)
+            return _fn(n)
+        monkeypatch.setattr(tipp.planner, "level_energies", counting)
+        state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
+        first = plan_parking(state, 0, 10, 30, TIMES)  # a fit and a solve
+        assert built == [10, 10]
+        for floor in (0, 2, 5):
+            assert_same_plan(plan_parking(state, floor, 10, 30, TIMES),
+                             plan_parking(fresh(state), floor, 10, 30, TIMES))
+        assert plan_parking(state, 0, 10, 30, TIMES).solution is first.solution
+        assert built == [10] * 8  # two for each fresh copy, none for a hit
 
     def test_memos_stay_out_of_init_repr_and_equality(self):
         used, unused = (TippState(floor_observations={2: 1.0}) for _ in range(2))

@@ -9,7 +9,6 @@ from tipp import (
     T_MAX,
     T_MIN,
     Garage,
-    GarageExhaustedError,
     PolicyKind,
     TimeConstants,
     TippState,
@@ -24,7 +23,7 @@ from tipp import (
     write_outcomes_csv,
 )
 
-from oracles import tipp_sequence_replanned_fresh
+from oracles import segment_accounting, tipp_sequence_replanned_fresh
 
 TIMES = TimeConstants()
 
@@ -230,11 +229,20 @@ class TestRunArrival:
 
     @pytest.mark.parametrize("policy", list(PolicyKind))
     def test_exhausted_garage_raises(self, policy):
+        # a car that finds no spot is an outcome: no floor, no spot, and
+        # t1 per scan plus t3 per floor driven, with no walk
         garage = Garage.from_occupancy(np.ones((3, 4), dtype=bool))
-        with pytest.raises(GarageExhaustedError,
-                           match=f"garage exhausted: {policy.value} car 7 found no spot"):
-            run_arrival(garage, policy, TIMES,
-                        tipp_state=TippState(temperature_estimate=0.5), car_index=7)
+        outcome, _ = run_arrival(garage, policy, TIMES,
+                                 tipp_state=TippState(temperature_estimate=0.5), car_index=7)
+        floors = {PolicyKind.BENCHMARK: (1, 2, 3), PolicyKind.INVERSE: (3, 2, 1),
+                  PolicyKind.OPTIMAL: ()}.get(policy, outcome.floors_scanned)
+        assert outcome.floors_scanned == floors
+        assert (outcome.car_index, outcome.parked_floor, outcome.spot_index) == (7, None, None)
+        driven = sum(abs(b - a) for a, b in zip((0, *floors), floors))
+        assert outcome.elapsed_time == len(floors) * TIMES.t1 + driven * TIMES.t3
+        if policy is PolicyKind.TIPP:
+            assert floors[-1] == 3 and list(floors) == sorted(set(floors))
+        assert garage.occupancy.all()
 
     def test_descending_policies_report_strictly_increasing_floors(self):
         for policy in (PolicyKind.BENCHMARK, PolicyKind.OPTIMAL, PolicyKind.TIPP):
@@ -252,11 +260,26 @@ class TestRunPolicySequence:
         assert sum(level_counts(garage)) == start + len(outcomes) == start + 12
 
     def test_stops_early_when_exhausted(self):
-        occ = np.ones((2, 2), dtype=bool)
-        occ[1, 0] = False
-        garage = Garage.from_occupancy(occ)
-        outcomes = run_policy_sequence(garage, PolicyKind.BENCHMARK, 5, TIMES)
-        assert len(outcomes) == 1
+        # the second car finds the garage full: it and the rest are turned away
+        for policy in PolicyKind:
+            occ = np.ones((2, 2), dtype=bool)
+            occ[1, 0] = False
+            garage = Garage.from_occupancy(occ)
+            outcomes = run_policy_sequence(garage, policy, 5, TIMES)
+            assert [(o.parked_floor, o.spot_index) for o in outcomes] == [(2, 0)], policy
+
+    def test_stranded_car_does_not_end_the_run(self):
+        # 10x30 at T=1.0 has 55 free spots; tipp, which only descends,
+        # drives past the one on floor 2 and strands car 54 and the rest
+        garage = Garage.from_temperature(10, 30, 1.0, seed=0)
+        outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 60, TIMES)
+        assert [o.car_index for o in outcomes] == list(range(60))
+        assert all(o.parked_floor is not None for o in outcomes[:54])
+        for o in outcomes[54:]:
+            assert (o.parked_floor, o.spot_index) == (None, None)
+            assert o.floors_scanned[-1] == 10
+            assert o.elapsed_time == len(o.floors_scanned) * TIMES.t1 + 10 * TIMES.t3
+        assert garage.lowest_free_floor() == 2
 
     def test_replay_determinism(self):
         for policy in PolicyKind:
@@ -352,6 +375,62 @@ class TestTippMemo:
         assert got == expected
         assert [o.car_index for o in outcomes] == list(range(len(outcomes)))
         assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
+
+
+GARAGES = (st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8),
+           st.floats(min_value=T_MIN, max_value=T_MAX),
+           st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestUnplacedCars:
+    """A car that finds no spot is stranded, or turned away once the garage is full."""
+
+    @given(*GARAGES, st.sampled_from([0.0, 0.05]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_car_is_parked_stranded_or_turned_away(self, n, s, temperature, seed,
+                                                         departure_prob, data):
+        num_cars = data.draw(st.integers(min_value=1, max_value=3 * n * s))
+        for policy in (PolicyKind.BENCHMARK, PolicyKind.OPTIMAL, PolicyKind.TIPP):
+            garage = Garage.from_temperature(n, s, temperature, seed=seed)
+            outcomes = run_policy_sequence(garage, policy, num_cars, TIMES,
+                                           departure_prob=departure_prob)
+            parked = [o for o in outcomes if o.parked_floor is not None]
+            stranded = [o for o in outcomes if o.parked_floor is None]
+            turned_away = num_cars - len(outcomes)
+            assert len(parked) + len(stranded) + turned_away == num_cars
+            assert [o.car_index for o in outcomes] == list(range(len(outcomes)))
+            if turned_away:  # the run ended on a full garage, before any renewal
+                assert garage.occupancy.all()
+            for o in outcomes:
+                floors = o.floors_scanned
+                assert all(a < b for a, b in zip(floors, floors[1:])), (policy, o)
+            for o in parked:
+                assert o.parked_floor == o.floors_scanned[-1]
+                assert o.elapsed_time == segment_accounting(o.floors_scanned, TIMES.t1,
+                                                            TIMES.t2, TIMES.t3)
+            for o in stranded:
+                # only the descent-only closed loop can pass a free spot by
+                assert policy is PolicyKind.TIPP and o.floors_scanned[-1] == n
+                assert o.elapsed_time == len(o.floors_scanned) * TIMES.t1 + n * TIMES.t3
+        fresh = Garage.from_temperature(n, s, temperature, seed=seed)
+        expected = tipp_sequence_replanned_fresh(fresh, num_cars, TIMES, departure_prob)
+        assert [(o.floors_scanned, o.parked_floor, o.spot_index, o.elapsed_time,
+                 o.temperature_estimate_after) for o in outcomes] == expected
+        assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
+
+    @given(*GARAGES, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tipp_memory_equals_the_grid_fills(self, n, s, temperature, seed, data):
+        # without departures a fill changes only when a car parks on the
+        # floor, and stranded cars keep recording what they scan
+        num_cars = data.draw(st.integers(min_value=1, max_value=3 * n * s))
+        garage = Garage.from_temperature(n, s, temperature, seed=seed)
+        state = None
+        for car in range(num_cars):
+            _, state = run_arrival(garage, PolicyKind.TIPP, TIMES, tipp_state=state,
+                                   car_index=car)
+            for floor, fill in state.floor_observations.items():
+                assert fill == garage.level_fill_fraction(floor), (car, floor)
 
 
 class TestSingleCarDominance:
