@@ -49,7 +49,13 @@ class ArrivalOutcome:
 
 
 class Garage:
-    """Mutable garage state; single-writer, mutated only by arrivals and renewal."""
+    """Mutable garage state; single-writer, mutated only by arrivals and renewal.
+
+    ``occupancy`` is the one record of which spots are taken.  ``free``
+    holds each floor's free-spot count, derived from it and kept in step
+    by this class's own methods, so callers must not write ``occupancy``
+    directly.
+    """
 
     def __init__(self, num_levels: int, capacity_per_level: int, seed: int = 0):
         if num_levels < 1 or capacity_per_level < 1:
@@ -57,6 +63,7 @@ class Garage:
         self.num_levels = int(num_levels)
         self.capacity_per_level = int(capacity_per_level)
         self.occupancy = np.zeros((num_levels, capacity_per_level), dtype=bool)
+        self.free = np.full(num_levels, self.capacity_per_level)
         self.rng = np.random.default_rng(seed)
         self.init_temperature: float | None = None
 
@@ -76,6 +83,7 @@ class Garage:
             count = level_fill_count(float(q[level]), capacity_per_level)
             spots = garage.rng.choice(capacity_per_level, size=count, replace=False)
             garage.occupancy[level, spots] = True
+            garage.free[level] -= count
         return garage
 
     @classmethod
@@ -86,35 +94,33 @@ class Garage:
             raise ValueError("occupancy must be a 2-D grid")
         garage = cls(grid.shape[0], grid.shape[1], seed)
         garage.occupancy[:] = grid
+        garage.free -= grid.sum(axis=1)
         return garage
 
     def level_occupied_count(self, floor: int) -> int:
         self._check_floor(floor)
-        return int(self.occupancy[floor - 1].sum())
+        return self.capacity_per_level - int(self.free[floor - 1])
 
     def level_fill_fraction(self, floor: int) -> float:
         return self.level_occupied_count(floor) / self.capacity_per_level
 
     def lowest_free_floor(self) -> int | None:
         """Shallowest floor with a free spot, or None if the garage is full."""
-        free_per_level = self.capacity_per_level - self.occupancy.sum(axis=1)
-        for level in range(self.num_levels):
-            if free_per_level[level] > 0:
-                return level + 1
-        return None
+        floors = np.flatnonzero(self.free)
+        return int(floors[0]) + 1 if floors.size else None
 
     def scan_and_park(self, floor: int) -> int | None:
         """Occupy the lowest-indexed free spot on the floor; None if full.
 
-        The grid is mutated only on success.
+        A full floor costs one count read; the grid is mutated only on success.
         """
         self._check_floor(floor)
-        row = self.occupancy[floor - 1]
-        free = np.flatnonzero(~row)
-        if free.size == 0:
+        if self.free[floor - 1] == 0:
             return None
-        spot = int(free[0])
+        row = self.occupancy[floor - 1]
+        spot = int(row.argmin())
         row[spot] = True
+        self.free[floor - 1] -= 1
         return spot
 
     def renewal_step(self, departure_prob: float) -> int:
@@ -122,9 +128,10 @@ class Garage:
         if not 0.0 <= departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in [0, 1]")
         draws = self.rng.random(self.occupancy.shape)
-        vacate = self.occupancy & (draws < departure_prob)
-        self.occupancy[vacate] = False
-        return int(vacate.sum())
+        vacate = np.flatnonzero(self.occupancy & (draws < departure_prob))
+        self.occupancy.flat[vacate] = False
+        self.free += np.bincount(vacate // self.capacity_per_level, minlength=self.num_levels)
+        return int(vacate.size)
 
     def _check_floor(self, floor: int) -> None:
         if not 1 <= floor <= self.num_levels:
@@ -198,12 +205,13 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
                         departure_prob: float = 0.0) -> list[ArrivalOutcome]:
     """Insert cars sequentially under one policy.
 
-    Every car's outcome is kept, a stranded car's too.  Only a car that
-    parks nowhere in a full garage ends the run: it and every later car
-    are turned away, so the list then holds fewer than ``num_cars``
-    outcomes.  The tipp policy's memory starts from the temperature the
-    garage was built at and carries over from car to car.  A positive
-    ``departure_prob`` applies one renewal step after every arrival.
+    Every car's outcome is kept, a stranded car's too.  A car that
+    arrives at a full garage is turned away at the gate: it gets no
+    outcome, so the list then holds fewer than ``num_cars`` outcomes and
+    the gap in ``car_index`` marks it.  The tipp policy's memory starts
+    from the temperature the garage was built at and carries over from
+    car to car.  A positive ``departure_prob`` applies one renewal step
+    after every car, a turned-away one too, so the run goes on.
     """
     if num_cars < 1:
         raise ValueError("num_cars must be >= 1")
@@ -213,10 +221,10 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     state = None
     outcomes = []
     for car in range(num_cars):
-        outcome, state = run_arrival(garage, policy, times, tipp_state=state, car_index=car)
-        if outcome.parked_floor is None and garage.lowest_free_floor() is None:
-            break
-        outcomes.append(outcome)
+        if garage.lowest_free_floor() is not None:
+            outcome, state = run_arrival(garage, policy, times, tipp_state=state,
+                                         car_index=car)
+            outcomes.append(outcome)
         if departure_prob > 0.0:
             garage.renewal_step(departure_prob)
     return outcomes

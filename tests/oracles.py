@@ -5,15 +5,16 @@ library: occupancy via a direct formula expression, temperature fitting
 via dense grid search and via first-order descent on T, the descent
 program via exhaustive enumeration of committed itineraries and via a
 full O(N^2) scan of every j > i, the time law via per-segment
-accounting, and the tipp closed loop via plans that each start from a
-fresh copy of the policy memory, so no memo carries over.
+accounting, the tipp closed loop via plans that each start from a
+fresh copy of the policy memory, so no memo carries over, and the
+garage via a bool grid alone, with no per-floor counts.
 """
 
 import itertools
 
 import numpy as np
 
-from tipp import TippState, plan_parking
+from tipp import TippState, level_energies, level_fill_count, plan_parking, spot_occupancy_prob
 
 
 def q_reference(energy, temperature, k=1.0):
@@ -156,15 +157,20 @@ def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):
     reuses anything an earlier plan computed.  Fills are counted on the
     grid itself.  A car that reaches the deepest floor without a spot is
     stranded: it is recorded with no floor or spot and a time of t1 per
-    scan plus t3 per floor driven down, no walk.  The run stops at the
-    first car that finds no spot while every cell of the grid is taken.
-    Returns (floors_scanned, parked_floor, spot_index, elapsed_time,
-    temperature_estimate_after) per recorded car."""
+    scan plus t3 per floor driven down, no walk.  A car that arrives
+    while every cell of the grid is taken is turned away unrecorded; the
+    renewal step follows every car either way.  Returns (floors_scanned,
+    parked_floor, spot_index, elapsed_time, temperature_estimate_after)
+    per recorded car."""
     n, s = garage.num_levels, garage.capacity_per_level
     estimate = 0.5 if garage.init_temperature is None else garage.init_temperature
     observations = {}
     cars = []
     for _ in range(num_cars):
+        if garage.occupancy.all():
+            if departure_prob > 0.0:
+                garage.renewal_step(departure_prob)
+            continue
         floors, here, spot = [], 0, None
         while spot is None and here < n:
             state = TippState(temperature_estimate=estimate,
@@ -177,14 +183,54 @@ def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):
         if spot is not None:
             elapsed = segment_accounting(floors, times.t1, times.t2, times.t3)
             cars.append((tuple(floors), here, spot, elapsed, estimate))
-        elif garage.occupancy.all():
-            break
         else:
             cars.append((tuple(floors), None, None, len(floors) * times.t1 + here * times.t3,
                          estimate))
         if departure_prob > 0.0:
             garage.renewal_step(departure_prob)
     return cars
+
+
+class GridGarage:
+    """The garage on its bool grid and its own ``default_rng(seed)``, with
+    no per-floor counts: scans search the row, counts sum the grid and
+    renewal clears a mask."""
+
+    def __init__(self, grid, seed):
+        self.occupancy = np.array(grid, dtype=bool)
+        self.rng = np.random.default_rng(seed)
+
+    @classmethod
+    def from_temperature(cls, num_levels, capacity_per_level, temperature, seed):
+        garage = cls(np.zeros((num_levels, capacity_per_level), dtype=bool), seed)
+        q = spot_occupancy_prob(level_energies(num_levels), temperature)
+        for level in range(num_levels):
+            count = level_fill_count(float(q[level]), capacity_per_level)
+            spots = garage.rng.choice(capacity_per_level, size=count, replace=False)
+            garage.occupancy[level, spots] = True
+        return garage
+
+    def level_occupied_count(self, floor):
+        return int(self.occupancy[floor - 1].sum())
+
+    def lowest_free_floor(self):
+        free = self.occupancy.shape[1] - self.occupancy.sum(axis=1)
+        floors = [level + 1 for level in range(len(free)) if free[level] > 0]
+        return floors[0] if floors else None
+
+    def scan_and_park(self, floor):
+        row = self.occupancy[floor - 1]
+        free = np.flatnonzero(~row)
+        if free.size == 0:
+            return None
+        row[free[0]] = True
+        return int(free[0])
+
+    def renewal_step(self, departure_prob):
+        draws = self.rng.random(self.occupancy.shape)
+        vacate = self.occupancy & (draws < departure_prob)
+        self.occupancy[vacate] = False
+        return int(vacate.sum())
 
 
 def central_difference(f, x, h):

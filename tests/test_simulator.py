@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tipp import (
@@ -23,7 +23,7 @@ from tipp import (
     write_outcomes_csv,
 )
 
-from oracles import segment_accounting, tipp_sequence_replanned_fresh
+from oracles import GridGarage, segment_accounting, tipp_sequence_replanned_fresh
 
 TIMES = TimeConstants()
 
@@ -281,6 +281,15 @@ class TestRunPolicySequence:
             assert o.elapsed_time == len(o.floors_scanned) * TIMES.t1 + 10 * TIMES.t3
         assert garage.lowest_free_floor() == 2
 
+    def test_full_garage_turns_cars_away_and_departures_go_on(self):
+        # car 0 meets a full garage and is turned away; the renewal step
+        # after it still runs, so the later cars find free spots
+        garage = Garage.from_occupancy(np.ones((3, 4), dtype=bool), seed=1)
+        outcomes = run_policy_sequence(garage, PolicyKind.BENCHMARK, 10, TIMES,
+                                       departure_prob=0.5)
+        assert [o.car_index for o in outcomes] == list(range(1, 10))
+        assert all(o.parked_floor == 1 for o in outcomes)
+
     def test_replay_determinism(self):
         for policy in PolicyKind:
             runs = []
@@ -345,6 +354,25 @@ class TestRunPolicySequence:
         assert hashlib.sha256(rows.encode()).hexdigest() == (
             "26bc100600ab43dc2090f04a4e3f03a21faef2d427afadd310adec9ac0f74387")
 
+    @pytest.mark.parametrize("policy, digest", [
+        ("benchmark", "c5fcdf8ee3a0104dc911868cc9dc113c5b0cd00e5d36474740c0158280c760d9"),
+        ("inverse", "9a4bfcae76ec7db55840063cac0363f7740cc065eb538cf0d274e50f32fa6f5d"),
+        ("optimal", "f03e9b9ae3edf2c1c3816eed7a0860f31e8767536650c875feaaf6b7a3dd7f8d"),
+        ("tipp", "4548b6600e61122c95e9f87bc19b2131d5001ec883497aa19d1ac62b2a6457cd"),
+    ])
+    def test_pin_with_departures(self, tmp_path, policy, digest):
+        # 20x20, T=0.5, seed 3, 600 cars, one departure per arrival on
+        # average: pins renewal's random stream as the mask renewal on the
+        # grid alone drew it, before the garage kept per-floor counts
+        garage = Garage.from_temperature(20, 20, 0.5, seed=3)
+        departure_prob = 1.0 / sum(level_counts(garage))
+        assert departure_prob == 1.0 / 277
+        outcomes = run_policy_sequence(garage, policy, 600, TIMES,
+                                       departure_prob=departure_prob)
+        path = tmp_path / "percar.csv"
+        write_outcomes_csv(path, policy, outcomes)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_tipp_estimate_evolves_across_cars(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
         outcomes = run_policy_sequence(garage, PolicyKind.TIPP, 5, TIMES)
@@ -373,7 +401,8 @@ class TestTippMemo:
         got = [(o.floors_scanned, o.parked_floor, o.spot_index, o.elapsed_time,
                 o.temperature_estimate_after) for o in outcomes]
         assert got == expected
-        assert [o.car_index for o in outcomes] == list(range(len(outcomes)))
+        indices = [o.car_index for o in outcomes]  # a gap marks a turned-away car
+        assert all(a < b for a, b in zip(indices, indices[1:]))
         assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
 
 
@@ -398,9 +427,22 @@ class TestUnplacedCars:
             stranded = [o for o in outcomes if o.parked_floor is None]
             turned_away = num_cars - len(outcomes)
             assert len(parked) + len(stranded) + turned_away == num_cars
-            assert [o.car_index for o in outcomes] == list(range(len(outcomes)))
-            if turned_away:  # the run ended on a full garage, before any renewal
-                assert garage.occupancy.all()
+            indices = [o.car_index for o in outcomes]
+            assert all(a < b for a, b in zip(indices, indices[1:]))
+            # replay car by car: a car is missing exactly when it met a full grid
+            replay = Garage.from_temperature(n, s, temperature, seed=seed)
+            recorded, state = dict(zip(indices, outcomes)), None
+            for car in range(num_cars):
+                if car in recorded:
+                    assert not replay.occupancy.all(), (policy, car)
+                    outcome, state = run_arrival(replay, policy, TIMES, tipp_state=state,
+                                                 car_index=car)
+                    assert outcome == recorded[car], (policy, car)
+                else:
+                    assert replay.occupancy.all(), (policy, car)
+                if departure_prob > 0.0:
+                    replay.renewal_step(departure_prob)
+            assert replay.occupancy.tobytes() == garage.occupancy.tobytes()
             for o in outcomes:
                 floors = o.floors_scanned
                 assert all(a < b for a, b in zip(floors, floors[1:])), (policy, o)
@@ -431,6 +473,51 @@ class TestUnplacedCars:
                                    car_index=car)
             for floor, fill in state.floor_observations.items():
                 assert fill == garage.level_fill_fraction(floor), (car, floor)
+
+
+@st.composite
+def garage_specs(draw):
+    """(N, S, grid or None, temperature, seed) for a small garage."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    s = draw(st.integers(min_value=1, max_value=8))
+    cells = st.lists(st.booleans(), min_size=s, max_size=s)
+    grid = draw(st.none() | st.lists(cells, min_size=n, max_size=n))
+    return (n, s, grid, draw(st.floats(min_value=T_MIN, max_value=T_MAX)),
+            draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+class TestFreeCounts:
+    """The per-floor free counts against a garage kept on its grid alone."""
+
+    @given(garage_specs(), st.sampled_from([0.0, 0.05, 1.0]),
+           st.lists(st.integers(min_value=0, max_value=12), max_size=60))
+    @example((1, 1, None, 0.5, 0), 0.05, [1, 1, 0, 1, 0, 0, 1])
+    @example((1, 1, [[True]], 0.5, 0), 1.0, [1, 0, 1, 1, 0])
+    @settings(max_examples=200, deadline=None)
+    def test_counts_follow_the_grid(self, spec, departure_prob, ops):
+        # op 0 is a renewal step, op k > 0 parks a car on floor (k - 1) % N + 1
+        n, s, grid, temperature, seed = spec
+        if grid is None:
+            garage = Garage.from_temperature(n, s, temperature, seed=seed)
+            reference = GridGarage.from_temperature(n, s, temperature, seed)
+        else:
+            garage = Garage.from_occupancy(grid, seed=seed)
+            reference = GridGarage(grid, seed)
+        for op in [None, *ops]:
+            if op == 0:
+                assert garage.renewal_step(departure_prob) == reference.renewal_step(
+                    departure_prob)
+            elif op is not None:
+                floor = (op - 1) % n + 1
+                assert garage.scan_and_park(floor) == reference.scan_and_park(floor)
+            assert garage.occupancy.tobytes() == reference.occupancy.tobytes()
+            np.testing.assert_array_equal(garage.free, s - garage.occupancy.sum(axis=1))
+            assert garage.lowest_free_floor() == reference.lowest_free_floor()
+            for floor in range(1, n + 1):
+                assert garage.level_occupied_count(floor) == reference.level_occupied_count(
+                    floor)
+                assert garage.level_fill_fraction(floor) == (
+                    reference.level_occupied_count(floor) / s)
 
 
 class TestSingleCarDominance:
