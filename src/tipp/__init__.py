@@ -23,7 +23,6 @@ from .model import (
 from .planner import (
     DpSolution,
     TimeConstants,
-    TippPlan,
     TippState,
     plan_parking,
     solve_dp,

@@ -191,8 +191,11 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
 def cmd_sweep(config: ScenarioConfig, args) -> int:
     if not args.temperatures:
         raise ValueError("at least one temperature is required")
+    for t in args.temperatures:
+        if args.temperatures.count(t) > 1:
+            raise ValueError(f"temperature {t!r} is listed more than once")
     # every scenario is built, and so checked, before any output exists
-    scenarios = [replace(config, temperature=float(t)) for t in args.temperatures]
+    scenarios = [replace(config, temperature=t) for t in args.temperatures]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["temperature,policy,cumulative_seconds"]

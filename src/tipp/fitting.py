@@ -261,15 +261,15 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
     return points
 
 
-def synthetic_survey(num_spots: int, temperature: float, seed: int,
-                     poi: tuple = (0.0, 0.0), radius: float = 100.0) -> LotSurvey:
-    """Generate a synthetic lot: spots uniform in a disk around the POI,
-    occupancy drawn per spot from the model at the given temperature."""
+def synthetic_survey(num_spots: int, temperature: float, seed: int) -> LotSurvey:
+    """A synthetic lot: spots uniform in a disk of radius 100 around a POI at
+    the origin, occupancy drawn per spot from the model at ``temperature``."""
     if num_spots < 2:
         raise ValueError("num_spots must be >= 2")
+    poi = (0.0, 0.0)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, num_spots)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, num_spots))
+    r = 100.0 * np.sqrt(rng.uniform(0.0, 1.0, num_spots))
     x = poi[0] + r * np.cos(theta)
     y = poi[1] + r * np.sin(theta)
     energies = (r / r.max()) ** 2

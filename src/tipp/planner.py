@@ -159,15 +159,15 @@ def _scan_and_drive_time(floors, times: TimeConstants) -> float:
 class TippState:
     """Closed-loop policy memory, carried from car to car and updated in place.
 
-    ``temperature_estimate`` is the latest refitted temperature and
-    ``floor_observations`` maps each floor scanned so far to the fill
-    fraction last seen there.
+    ``temperature_estimate`` is the prior, then the latest fit, which
+    ``plan_parking`` writes; ``floor_observations`` maps each floor
+    scanned so far to the fill fraction last seen there.
     """
 
     temperature_estimate: float = 0.5
     floor_observations: dict = field(default_factory=dict)
     # plan_parking's one-entry memos, private to this state:
-    # (key, fitted T) and (key, (availability, DpSolution))
+    # (key, fitted T) and (key, DpSolution)
     _fit_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     _plan_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
@@ -180,35 +180,25 @@ class TippState:
                 raise ValueError("observed fills must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class TippPlan:
-    """One re-planning step: refitted temperature, availabilities, DP solution, decision."""
-
-    next_floor: int
-    temperature: float
-    availability: np.ndarray
-    solution: DpSolution
-
-
 def plan_parking(state: TippState, from_floor: int, num_levels: int,
-                 capacity_per_level: int, times: TimeConstants) -> TippPlan:
-    """Re-estimate, re-solve, and pick the next floor below ``from_floor``
-    (0 = entrance, at most N - 1, else a ValueError) in a garage of
-    ``num_levels`` floors of ``capacity_per_level`` spots each.
+                 capacity_per_level: int, times: TimeConstants) -> int:
+    """Refit, re-solve, and return u(from_floor), the floor to drive to
+    next from ``from_floor`` (0 = entrance, at most N - 1, else a
+    ValueError) in a garage of ``num_levels`` floors of
+    ``capacity_per_level`` spots each.
 
-    If any floor fills have been observed, the temperature is refitted
-    on {(E(k), fill_k)} starting from the current estimate; otherwise
-    the prior estimate is kept.  The fit and q read the same floor
-    energies, ``level_energies(N)``, built only when a memo misses.
-    Availabilities follow from the model and the DP supplies u(from_floor).
+    If fills have been observed (on integer floors in [1, N]), the
+    temperature is refitted on {(E(k), fill_k)} from
+    ``state.temperature_estimate`` and, if the call succeeds, becomes the
+    new estimate; otherwise the estimate is kept.  The fit and q read the same floor energies,
+    ``level_energies(N)``, built only when a memo misses.
 
-    The call writes two one-entry memos on ``state`` and nothing else:
-    the fit, keyed by a snapshot of the observations, the start
-    temperature and N, and the availabilities and DP solution, keyed by
-    (T, N, S, times).  A call whose key matches the previous one reuses
-    its result, which is exactly what recomputing would give; a caller
-    that edits ``floor_observations`` changes the key and gets a refit.
-    The memoised arrays are shared by later plans, so they are read-only.
+    The call also writes two one-entry memos on ``state``: the fit, keyed
+    by a snapshot of the observations, the start temperature and N, and
+    the DP solution, keyed by (T, N, S, times).  A call whose key matches
+    the previous one reuses its result, which is exactly what recomputing
+    would give; a caller that edits ``floor_observations`` changes the
+    key and gets a refit.
     """
     if num_levels < 1:  # the first error on every path, memo hit or miss
         raise ValueError("num_levels must be >= 1")
@@ -219,6 +209,8 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
             floors = np.array(list(state.floor_observations))
             if not (floors.min() >= 1 and floors.max() <= num_levels):
                 raise ValueError(f"observed floors must lie in [1, {num_levels}]")
+            if floors.dtype.kind not in "iu":  # 2.0 is no index
+                raise ValueError("observed floors must be integers")
             fills = list(state.floor_observations.values())
             energies = level_energies(num_levels)[floors - 1]
             fitted = fit_temperature(energies, fills, temperature).temperature
@@ -228,14 +220,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     if state._plan_memo[0] != key:
         q = spot_occupancy_prob(level_energies(num_levels), temperature)
         availability = level_availability_prob(q, capacity_per_level)
-        solution = solve_dp(availability, times)
-        for array in (availability, solution.values, solution.actions):
-            array.flags.writeable = False
-        state._plan_memo = (key, (availability, solution))
-    availability, solution = state._plan_memo[1]
-    return TippPlan(
-        next_floor=solution.action(from_floor),
-        temperature=temperature,
-        availability=availability,
-        solution=solution,
-    )
+        state._plan_memo = (key, solve_dp(availability, times))
+    next_floor = state._plan_memo[1].action(from_floor)
+    state.temperature_estimate = temperature
+    return next_floor

@@ -193,10 +193,7 @@ def _tipp_floors(garage: Garage, times: TimeConstants, state: TippState):
     """
     here = 0
     while here < garage.num_levels:
-        plan = plan_parking(state, here, garage.num_levels, garage.capacity_per_level,
-                            times)
-        state.temperature_estimate = plan.temperature
-        here = plan.next_floor
+        here = plan_parking(state, here, garage.num_levels, garage.capacity_per_level, times)
         yield here
 
 
@@ -236,10 +233,9 @@ def render_text(garage: Garage) -> str:
     return "\n".join(rows) + "\n"
 
 
-def render_ppm(garage: Garage, pixel_size: int = 8) -> bytes:
-    """Portable pixmap (P3) of the grid: red = occupied, white = free."""
-    if pixel_size < 1:
-        raise ValueError("pixel_size must be >= 1")
+def render_ppm(garage: Garage) -> bytes:
+    """Portable pixmap (P3) of the grid, 8 pixels a spot: red = occupied, white = free."""
+    pixel_size = 8
     levels, spots = garage.occupancy.shape
     width, height = spots * pixel_size, levels * pixel_size
     lines = [f"P3 {width} {height} 255"]

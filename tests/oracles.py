@@ -175,8 +175,8 @@ def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):
         while spot is None and here < n:
             state = TippState(temperature_estimate=estimate,
                               floor_observations=dict(observations))
-            plan = plan_parking(state, here, n, s, times)
-            estimate, here = plan.temperature, plan.next_floor
+            here = plan_parking(state, here, n, s, times)
+            estimate = state.temperature_estimate
             floors.append(here)
             spot = garage.scan_and_park(here)
             observations[here] = int(garage.occupancy[here - 1].sum()) / s

@@ -270,6 +270,14 @@ class TestSweep:
         assert main(["sweep", "--out", str(tmp_path / "x"), "--temperatures", ""]) == 2
         assert "temperature" in capsys.readouterr().err
 
+    def test_repeated_temperature_is_usage_error(self, tmp_path, capsys):
+        # 0.50 reads as 0.5: the scenario would run twice and write two equal rows
+        out = tmp_path / "x"
+        assert main(["sweep", "--out", str(out), "--temperatures", "0.5,1.0,0.50",
+                     "--policies", "optimal", "--num-cars", "3"]) == 2
+        assert "temperature 0.5 is listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
 
 RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2", "--t3"]
 

@@ -9,6 +9,7 @@ from tipp import (
     T_MAX,
     TimeConstants,
     TippState,
+    fit_temperature,
     level_availability_prob,
     level_energies,
     plan_parking,
@@ -247,6 +248,17 @@ class TestObserveFloor:
         with pytest.raises(ValueError, match=r"observed floors must lie in \[1, 10\]"):
             plan_parking(state, 0, 10, 30, TIMES)
 
+    @pytest.mark.parametrize("floor", [1.5, 2.0])
+    def test_rejects_a_floor_that_is_not_an_integer(self, floor):
+        # a float, even 2.0, is no index into the floor energies
+        with pytest.raises(ValueError, match="observed floors must be integers"):
+            plan_parking(TippState(floor_observations={floor: 0.5}), 0, 10, 30, TIMES)
+        state = TippState(floor_observations={3: 1.0})
+        plan_parking(state, 0, 10, 30, TIMES)
+        state.floor_observations[floor] = 0.5
+        with pytest.raises(ValueError, match="observed floors must be integers"):
+            plan_parking(state, 0, 10, 30, TIMES)
+
 
 class TestTippDecide:
     @pytest.mark.parametrize("num_levels, capacity", [(0, 30), (10, 0)])
@@ -269,26 +281,44 @@ class TestTippDecide:
         state = TippState(temperature_estimate=0.5)
         p = self._availability(0.5)
         _, oracle_itinerary = enumerate_best_itinerary(p, TIMES.t1, TIMES.t2, TIMES.t3)
-        assert plan_parking(state, 0, 10, 30, TIMES).next_floor == oracle_itinerary[0]
+        assert plan_parking(state, 0, 10, 30, TIMES) == oracle_itinerary[0]
+        assert state.temperature_estimate == 0.5
 
-    def test_plan_reports_prior_when_no_observations(self):
-        plan = plan_parking(TippState(temperature_estimate=0.7), 0, 10, 30, TIMES)
-        assert plan.temperature == 0.7
-        np.testing.assert_allclose(plan.availability, self._availability(0.7), rtol=1e-12)
+    def test_no_observations_plans_at_the_estimate(self):
+        state = TippState(temperature_estimate=0.7)
+        for floor in range(10):
+            expected = solve_dp(self._availability(0.7), TIMES).action(floor)
+            assert plan_parking(state, floor, 10, 30, TIMES) == expected
+            assert state.temperature_estimate == 0.7
+
+    def test_the_estimate_becomes_the_fit(self):
+        state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
+        energies = level_energies(10)[[2, 6]]
+        start = 0.5
+        for _ in range(3):  # a fit from 0.5, a fit from its result, then a memo hit
+            expected = fit_temperature(energies, [1.0, 0.9], start).temperature
+            plan_parking(state, 0, 10, 30, TIMES)
+            assert state.temperature_estimate == expected
+            start = expected
+
+    def test_a_failed_plan_leaves_the_estimate(self):
+        state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0})
+        with pytest.raises(ValueError, match="no action from floor 10"):
+            plan_parking(state, 10, 10, 30, TIMES)
+        assert state.temperature_estimate == 0.5
 
     def test_vacant_bottom_floor_pulls_the_estimate_cold(self):
         state = TippState(temperature_estimate=0.5, floor_observations={10: 0.0})
-        plan = plan_parking(state, 0, 10, 30, TIMES)
         # the refit lands in the cold regime (fit loss is float-zero there),
         # every floor then looks available, and the nearest floor wins
-        assert plan.temperature < 0.1
-        assert plan.availability.min() > 0.8
-        assert plan.next_floor == 1
+        assert plan_parking(state, 0, 10, 30, TIMES) == 1
+        assert state.temperature_estimate < 0.1
+        assert self._availability(state.temperature_estimate).min() > 0.8
 
     def test_full_from_floor_still_descends(self):
         for floor in (1, 4, 9):
             state = TippState(temperature_estimate=0.5, floor_observations={floor: 1.0})
-            assert plan_parking(state, floor, 10, 30, TIMES).next_floor > floor
+            assert plan_parking(state, floor, 10, 30, TIMES) > floor
 
     def test_exhausted_at_bottom(self):
         # no floor lies below the deepest one, so there is no plan from it
@@ -303,18 +333,18 @@ class TestTippDecide:
     def test_deterministic(self):
         state = TippState(temperature_estimate=0.5,
                           floor_observations={2: 1.0, 6: 0.5})
-        a = plan_parking(state, 0, 10, 30, TIMES).next_floor
-        b = plan_parking(state, 0, 10, 30, TIMES).next_floor
+        a = plan_parking(state, 0, 10, 30, TIMES)
+        b = plan_parking(state, 0, 10, 30, TIMES)
         assert a == b
 
     def test_refit_warm_starts_from_the_estimate(self):
         # a single fractional observation has an exact-fit temperature;
         # the refit must land there regardless of the prior
         state = TippState(temperature_estimate=2.0, floor_observations={5: 0.5})
-        plan = plan_parking(state, 0, 10, 30, TIMES)
+        plan_parking(state, 0, 10, 30, TIMES)
         energy = level_energies(10)[4]
         expected = energy / np.log(2.0 / 0.5 - 1.0)
-        assert plan.temperature == pytest.approx(expected, rel=1e-4)
+        assert state.temperature_estimate == pytest.approx(expected, rel=1e-4)
 
     @pytest.mark.parametrize("observations, fits", [({}, 0), ({3: 0.5, 7: 1.0}, 1)])
     def test_each_layer_is_called_through_the_planner_module(self, monkeypatch,
@@ -364,12 +394,15 @@ def fresh(state):
                      floor_observations=dict(state.floor_observations))
 
 
-def assert_same_plan(a, b):
-    assert (a.next_floor, a.temperature) == (b.next_floor, b.temperature)
-    assert a.availability.tobytes() == b.availability.tobytes()
-    assert a.solution.values.tobytes() == b.solution.values.tobytes()
-    assert a.solution.actions.tobytes() == b.solution.actions.tobytes()
-    assert a.solution.entrance_value == b.solution.entrance_value
+def assert_same_plan(state, other, *args):
+    """Plan on both states with the same arguments: the floors, the
+    estimates and the memoised solutions must agree to the bit."""
+    assert plan_parking(state, *args) == plan_parking(other, *args)
+    assert state.temperature_estimate == other.temperature_estimate
+    a, b = state._plan_memo[1], other._plan_memo[1]
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.actions.tobytes() == b.actions.tobytes()
+    assert a.entrance_value == b.entrance_value
 
 
 class TestPlanMemo:
@@ -387,28 +420,24 @@ class TestPlanMemo:
 
     def test_unchanged_replan_reuses_the_fit_and_the_solution(self, calls):
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
-        first = plan_parking(state, 0, 10, 30, TIMES)
+        plan_parking(state, 0, 10, 30, TIMES)
+        solution = state._plan_memo[1]
+        # the second plan starts from the fitted T, a new fit key; the refit
+        # returns that T again, so the solution is reused
+        plan_parking(state, 0, 10, 30, TIMES)
+        assert calls == Counter({"fit_temperature": 2, "solve_dp": 1})
         for floor in (0, 2, 5):
-            expected = plan_parking(fresh(state), floor, 10, 30, TIMES)
-            assert_same_plan(plan_parking(state, floor, 10, 30, TIMES), expected)
-        assert plan_parking(state, 0, 10, 30, TIMES).solution is first.solution
-        # one fit and one solve for the state, one each for the three fresh copies
-        assert calls == Counter({"fit_temperature": 4, "solve_dp": 4})
-
-    def test_memoised_arrays_are_read_only(self):
-        # later plans share these arrays, so none may be written through a plan
-        plan = plan_parking(TippState(floor_observations={2: 1.0}), 0, 10, 30, TIMES)
-        for array in (plan.availability, plan.solution.values, plan.solution.actions):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+            assert_same_plan(state, fresh(state), floor, 10, 30, TIMES)
+        assert state._plan_memo[1] is solution
+        # the state now hits both memos: one fit and one solve for each fresh copy
+        assert calls == Counter({"fit_temperature": 5, "solve_dp": 4})
 
     def test_direct_edit_of_observations_forces_a_refit(self, calls):
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0})
         plan_parking(state, 0, 10, 30, TIMES)
         for edit in ({3: 0.2}, {8: 0.4}):
             state.floor_observations.update(edit)  # in place: the same dict object
-            assert_same_plan(plan_parking(state, 0, 10, 30, TIMES),
-                             plan_parking(fresh(state), 0, 10, 30, TIMES))
+            assert_same_plan(state, fresh(state), 0, 10, 30, TIMES)
         assert calls["fit_temperature"] == 5
         # a bad entry added after a good plan is still rejected, never served
         state.floor_observations[11] = 0.5
@@ -426,10 +455,10 @@ class TestPlanMemo:
     def test_a_new_start_shape_or_times_misses(self, calls, start, shape, times, fits,
                                                solves):
         state = TippState(temperature_estimate=0.5, floor_observations={4: 1.0})
-        assert plan_parking(state, 0, 10, 30, TIMES).temperature == T_MAX
-        state.temperature_estimate = start
-        assert_same_plan(plan_parking(state, 0, *shape, times),
-                         plan_parking(fresh(state), 0, *shape, times))
+        plan_parking(state, 0, 10, 30, TIMES)
+        assert state.temperature_estimate == T_MAX
+        state.temperature_estimate = start  # 0.5 is the first plan's start again
+        assert_same_plan(state, fresh(state), 0, *shape, times)
         assert calls == Counter({"fit_temperature": fits, "solve_dp": solves})
 
     def test_interleaved_states_share_no_entries(self, calls):
@@ -437,15 +466,16 @@ class TestPlanMemo:
         b = TippState(temperature_estimate=0.5, floor_observations={2: 0.3})
         for _ in range(2):
             for state in (a, b):
-                assert_same_plan(plan_parking(state, 0, 10, 30, TIMES),
-                                 plan_parking(fresh(state), 0, 10, 30, TIMES))
-        # one fit and one solve per state, kept across the other's plans,
-        # plus one each for every fresh copy
-        assert calls == Counter({"fit_temperature": 6, "solve_dp": 6})
+                assert_same_plan(state, fresh(state), 0, 10, 30, TIMES)
+        # each state fits twice, from 0.5 and then from its own fit, and
+        # keeps its entries across the other's plans: a's refit returns
+        # its T, so a solves once; b's moves by an ulp, so b solves again.
+        # Every fresh copy fits and solves once.
+        assert calls == Counter({"fit_temperature": 8, "solve_dp": 7})
         memos = (a._fit_memo, a._plan_memo)
         plan_parking(b, 3, 10, 30, TIMES)
         assert a._fit_memo is memos[0] and a._plan_memo is memos[1]
-        assert a._plan_memo[1][1] is not b._plan_memo[1][1]
+        assert a._plan_memo[1] is not b._plan_memo[1]
 
     def test_energies_are_built_only_on_a_miss(self, monkeypatch):
         built = []
@@ -455,17 +485,18 @@ class TestPlanMemo:
             return _fn(n)
         monkeypatch.setattr(tipp.planner, "level_energies", counting)
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
-        first = plan_parking(state, 0, 10, 30, TIMES)  # a fit and a solve
+        plan_parking(state, 0, 10, 30, TIMES)  # a fit and a solve
         assert built == [10, 10]
+        plan_parking(state, 0, 10, 30, TIMES)  # a fit from the fitted T, a solve hit
+        assert built == [10] * 3
         for floor in (0, 2, 5):
-            assert_same_plan(plan_parking(state, floor, 10, 30, TIMES),
-                             plan_parking(fresh(state), floor, 10, 30, TIMES))
-        assert plan_parking(state, 0, 10, 30, TIMES).solution is first.solution
-        assert built == [10] * 8  # two for each fresh copy, none for a hit
+            assert_same_plan(state, fresh(state), floor, 10, 30, TIMES)
+        assert built == [10] * 9  # two for each fresh copy, none for a hit
 
     def test_memos_stay_out_of_init_repr_and_equality(self):
-        used, unused = (TippState(floor_observations={2: 1.0}) for _ in range(2))
+        used = TippState(floor_observations={2: 1.0})
         plan_parking(used, 0, 10, 30, TIMES)
+        unused = fresh(used)
         assert used._fit_memo[1] is not None and unused._fit_memo == (None, None)
         assert used == unused
         assert repr(used) == repr(unused) and "memo" not in repr(used)

@@ -553,10 +553,10 @@ class TestRendering:
 
     def test_ppm_header_and_palette(self):
         garage = Garage.from_occupancy(np.array([[True, False]]))
-        data = render_ppm(garage, pixel_size=1).decode("ascii")
+        data = render_ppm(garage).decode("ascii")
         lines = data.splitlines()
-        assert lines[0] == "P3 2 1 255"
-        assert lines[1] == "255 0 0 255 255 255"
+        assert lines[0] == "P3 16 8 255"  # 8 pixels a spot
+        assert lines[1:] == [" ".join(["255 0 0"] * 8 + ["255 255 255"] * 8)] * 8
 
     def test_ppm_deterministic(self):
         a = render_ppm(Garage.from_temperature(10, 30, 0.5, seed=0))
