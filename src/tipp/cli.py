@@ -18,7 +18,7 @@ config/usage error, 3 a car was stranded or turned away.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .fitting import (
@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValueError("garage dimensions must be >= 1")
         if self.num_cars < 1:
             raise ValueError("num_cars must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in [0, 1]")
         _check_temperature(self.temperature, "temperature")
@@ -96,39 +98,34 @@ def _load_config_file(path) -> dict:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    _check_fields(path, data, ScenarioConfig)
-    _check_fields(path, data.get("times", {}), TimeConstants, "times.")
-    _coerce_floats(path, data, ScenarioConfig)
-    _coerce_floats(path, data.get("times", {}), TimeConstants, "times.")
-    if "policies" in data:
-        for name in data["policies"] if isinstance(data["policies"], list) else ():
-            _check_type(path, "policies", name, str)
-        try:
-            data["policies"] = _parse_policies(data["policies"])
-        except ValueError as exc:
-            raise ValueError(f"{path}: config field 'policies': {exc}") from None
-    return data
+    return _read_fields(path, data, ScenarioConfig)
 
 
-def _check_fields(path, data: dict, schema, prefix: str = "") -> None:
-    """Check that each key names a field of ``schema`` and has a JSON type it allows."""
-    types = {f.name: _JSON_TYPES.get(f.type, f.type) for f in fields(schema)}
+def _read_fields(path, data: dict, schema, prefix: str = "") -> dict:
+    """Read ``data`` key by key in file order: check each name and JSON type
+    against ``schema``'s fields, then read the value as its flag would."""
+    types = {f.name: f.type for f in fields(schema)}
     for key, value in data.items():
+        name = prefix + key
         if key not in types:
-            raise ValueError(f"{path}: unknown config field {prefix + key!r}")
-        _check_type(path, prefix + key, value, types[key])
-
-
-def _coerce_floats(path, data: dict, schema, prefix: str = "") -> None:
-    """Turn the JSON integers of ``schema``'s float fields into floats, as
-    their flags' ``type=float`` does."""
-    for f in fields(schema):
-        if f.type is float and f.name in data:
+            raise ValueError(f"{path}: unknown config field {name!r}")
+        kind = types[key]
+        _check_type(path, name, value, _JSON_TYPES.get(kind, kind))
+        if kind is float:
             try:
-                data[f.name] = float(data[f.name])
+                data[key] = float(value)
             except OverflowError:
-                raise ValueError(f"{path}: config field {prefix + f.name!r} is too large "
-                                 "for a float") from None
+                raise ValueError(f"{path}: config field {name!r} is too large for a float") from None
+        elif is_dataclass(kind):
+            _read_fields(path, value, kind, name + ".")
+        elif kind is tuple:  # policies
+            for item in value if isinstance(value, list) else ():
+                _check_type(path, name, item, str)
+            try:
+                data[key] = _parse_policies(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: config field {name!r}: {exc}") from None
+    return data
 
 
 def _check_type(path, name: str, value, expected) -> None:
@@ -155,7 +152,8 @@ def _run_policies(config: ScenarioConfig):
     """Run every requested policy on a freshly initialized garage.
 
     The garage is rebuilt from (temperature, seed) before each policy, so
-    all policies face the same starting state.
+    all policies face the same starting state.  Each run is (policy,
+    outcomes, cars parked, total elapsed seconds).
     """
     runs = []
     for policy in config.policies:
@@ -164,7 +162,7 @@ def _run_policies(config: ScenarioConfig):
         outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
                                        departure_prob=config.departure_prob)
         parked = sum(o.parked_floor is not None for o in outcomes)
-        runs.append((policy, outcomes, parked))
+        runs.append((policy, outcomes, parked, sum((o.elapsed_time for o in outcomes), 0.0)))
     return runs
 
 
@@ -173,9 +171,8 @@ def cmd_simulate(config: ScenarioConfig, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = []
     all_parked = True
-    for policy, outcomes, parked in _run_policies(config):
+    for policy, outcomes, parked, total in _run_policies(config):
         write_outcomes_csv(out / f"{policy.value}_percar.csv", policy, outcomes)
-        total = sum((o.elapsed_time for o in outcomes), 0.0)
         summary.append({
             "policy": policy.value,
             "total_time": total,
@@ -201,8 +198,7 @@ def cmd_sweep(config: ScenarioConfig, args) -> int:
     lines = ["temperature,policy,cumulative_seconds"]
     all_parked = True
     for scenario in scenarios:
-        for policy, outcomes, parked in _run_policies(scenario):
-            total = sum(o.elapsed_time for o in outcomes)
+        for policy, outcomes, parked, total in _run_policies(scenario):
             lines.append(f"{scenario.temperature!r},{policy.value},{total:.6f}")
             all_parked = all_parked and parked == scenario.num_cars
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")

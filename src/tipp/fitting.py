@@ -85,10 +85,6 @@ class LotSurvey:
         if not all(map(math.isfinite, self.poi)):
             raise ValueError("point of interest must be finite")
 
-    @property
-    def num_spots(self) -> int:
-        return int(self.x.size)
-
 
 @dataclass(frozen=True)
 class SampleEfficiencyPoint:
@@ -282,20 +278,20 @@ def load_survey(path) -> LotSurvey:
     """Parse a survey CSV.
 
     Format: lines starting with '#' are comments; the first data line is
-    ``poi,<x>,<y>``; every following line is ``<x>,<y>,<0|1>``.
+    ``poi,<x>,<y>``; every following line is ``<x>,<y>,<0|1>``.  Each
+    record is checked as it is read, so an error names the first bad
+    record's ``<path>:<line>``.
     """
     poi = None
     xs, ys, occ = [], [], []
-    skipped = []  # blank and comment lines: they give a bad spot's line with no per-spot record
     with open(path, newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
-                skipped.append(lineno)
                 continue
-            parts = [p.strip() for p in line.split(",")]
+            parts = line.split(",")  # float() ignores a field's surrounding blanks
             if poi is None:
-                if len(parts) != 3 or parts[0] != "poi":
+                if len(parts) != 3 or parts[0].strip() != "poi":
                     raise ValueError(
                         f"{path}:{lineno}: expected 'poi,<x>,<y>' as the first data line"
                     )
@@ -313,26 +309,19 @@ def load_survey(path) -> LotSurvey:
                 y = float(parts[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed coordinates") from None
-            if parts[2] not in ("0", "1"):
+            flag = parts[2].strip()
+            if flag not in ("0", "1"):
                 raise ValueError(f"{path}:{lineno}: occupancy flag must be 0 or 1")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: spot coordinates must be finite")
             xs.append(x)
             ys.append(y)
-            occ.append(parts[2] == "1")
+            occ.append(flag == "1")
     if poi is None:
         raise ValueError(f"{path}: missing 'poi,<x>,<y>' record")
     if len(xs) < 2:
         raise ValueError(f"{path}: survey needs at least 2 spots")
-    x, y = np.array(xs), np.array(ys)
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not finite.all():
-        # spot i is data line i + 2, after the POI; each skipped line up to
-        # there (they ascend) moves it one line down
-        lineno = int(np.argmin(finite)) + 2
-        for s in skipped:
-            if s <= lineno:
-                lineno += 1
-        raise ValueError(f"{path}:{lineno}: spot coordinates must be finite")
-    return LotSurvey(x=x, y=y, occupied=np.array(occ), poi=poi)
+    return LotSurvey(x=np.array(xs), y=np.array(ys), occupied=np.array(occ), poi=poi)
 
 
 def save_survey(survey: LotSurvey, path) -> None:

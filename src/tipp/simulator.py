@@ -97,12 +97,9 @@ class Garage:
         garage.free -= grid.sum(axis=1)
         return garage
 
-    def level_occupied_count(self, floor: int) -> int:
-        self._check_floor(floor)
-        return self.capacity_per_level - int(self.free[floor - 1])
-
     def level_fill_fraction(self, floor: int) -> float:
-        return self.level_occupied_count(floor) / self.capacity_per_level
+        self._check_floor(floor)
+        return (self.capacity_per_level - int(self.free[floor - 1])) / self.capacity_per_level
 
     def lowest_free_floor(self) -> int | None:
         """Shallowest floor with a free spot, or None if the garage is full."""

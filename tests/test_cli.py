@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,20 @@ class TestConfigFile:
         assert (f"{cfg}: config field 'policies' has the wrong type (int)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("data, field", [
+        ({"policies": ["bogus"], "num_cars": "x"}, "policies"),
+        ({"num_cars": "x", "policies": ["bogus"]}, "num_cars"),
+        ({"times": {"t9": 1}, "seed": "x"}, "times.t9"),
+    ])
+    def test_the_first_bad_field_is_reported(self, tmp_path, capsys, data, field):
+        # fields are checked in file order, each where it is read
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: " in err and repr(field) in err
+        assert all(repr(other) not in err for other in data if other != field)
+
     def test_fit_reads_fit_fields_and_writes_nothing_without_out(self, tmp_path, capsys,
                                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -277,6 +292,16 @@ class TestSweep:
                      "--policies", "optimal", "--num-cars", "3"]) == 2
         assert "temperature 0.5 is listed more than once" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [["simulate"], ["sweep", "--temperatures", "0.5"], ["render"]])
+def test_negative_seed_is_usage_error_before_any_output(tmp_path, capsys, verb):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for source in (["--seed", "-1"], ["--config", str(cfg)]):
+        assert main([*verb, *source, "--out", str(tmp_path / "o")]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2", "--t3"]
@@ -408,6 +433,25 @@ class TestSampleCurve:
                      "--out", str(tmp_path / "c")]) == 2
         assert "at least one sample size is required" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+
+def test_fit_verbs_pin_their_outputs(tmp_path):
+    # the saved survey, fit --out and sample-curve, as first written: a
+    # change to the survey reader or writer, the fit or the curve shows here
+    path = tmp_path / "lot.csv"
+    save_survey(synthetic_survey(2000, 0.5, 0), path)
+    assert main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 0
+    assert main(["sample-curve", str(path), "--sizes", "5,20,100", "--trials", "10",
+                 "--seed", "0", "--out", str(tmp_path / "curve")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("lot.csv", "fit/fit_report.json", "curve/sample_curve.csv")}
+    assert digests == {
+        "lot.csv": "656451e78301a6d1c4278cc8994a795272bcc4158dab95553698947b12aa173c",
+        "fit/fit_report.json":
+            "363c5afc05eb0faa213b6431bca164a2e919fe07126b57a69a37250b4db6038f",
+        "curve/sample_curve.csv":
+            "2c3f478cb696fcbd9b05f506abf2481e8a8880b10e256c832b7c5ed8eaab17ad",
+    }
 
 
 class TestRender:

@@ -363,7 +363,7 @@ class TestSurveyIO:
         path = tmp_path / "lot.csv"
         path.write_text("# a survey\n\npoi,0,0\n# spots\n1,0,1\n2,0,0\n")
         survey = load_survey(path)
-        assert survey.num_spots == 2
+        assert survey.x.size == 2
         assert survey.poi == (0.0, 0.0)
 
     def test_missing_poi(self, tmp_path):
@@ -394,12 +394,26 @@ class TestSurveyIO:
         ("poi,0,0\n1,0,1\nnan,0,0\n", 3),
         ("poi,0,0\n-inf,0,1\n2,0,0\n", 2),
         ("# lot\npoi,0,0\n\n1,0,1\n# row 2\n2,3,0\n\n1,inf,0\n3,3,1\n", 8),
+        # the first bad record is the one reported, not a later malformed
+        # line or the spot count
+        ("poi,0,0\nnan,0,1\n1,x,0\n", 2),
+        ("poi,0,0\ninf,0,1\n", 2),
     ])
     def test_non_finite_spot_reports_line_number(self, tmp_path, text, line):
         path = tmp_path / "lot.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=f"lot.csv:{line}: spot coordinates must be finite"):
             load_survey(path)
+
+    def test_whitespace_around_fields_is_ignored(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("poi,1,2\n1.5,2,1\n3,-4,0\n")
+        padded = tmp_path / "padded.csv"
+        padded.write_text("  poi , 1 , 2 \n 1.5 , 2 , 1 \n\t3,\t-4 ,\t0\t\n")
+        a, b = load_survey(plain), load_survey(padded)
+        for name in ("x", "y", "occupied"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+        assert b.poi == a.poi == (1.0, 2.0)
 
     def test_non_finite_poi_record_reports_line_number(self, tmp_path):
         path = tmp_path / "lot.csv"
