@@ -12,7 +12,8 @@ of ``TimeConstants``): a JSON file (--config) may set any field, typed
 by its annotation, and a verb has a flag of the same name for each field
 it reads.  Defaults, then file, then flags make one config, and a verb is
 one function of ``(config, args)``.  Exit codes: 0 success, 2
-config/usage error, 3 a car was stranded or turned away.
+config/usage error, 3 a car was stranded or turned away (stderr names
+each policy's first such car).
 """
 
 import argparse
@@ -103,7 +104,9 @@ def _load_config_file(path) -> dict:
 
 def _read_fields(path, data: dict, schema, prefix: str = "") -> dict:
     """Read ``data`` key by key in file order: check each name and JSON type
-    against ``schema``'s fields, then read the value as its flag would."""
+    against ``schema``'s fields, read the value as its flag would, then
+    check its domain with ``schema``'s own checks, the other fields at
+    their defaults."""
     types = {f.name: f.type for f in fields(schema)}
     for key, value in data.items():
         name = prefix + key
@@ -111,20 +114,23 @@ def _read_fields(path, data: dict, schema, prefix: str = "") -> dict:
             raise ValueError(f"{path}: unknown config field {name!r}")
         kind = types[key]
         _check_type(path, name, value, _JSON_TYPES.get(kind, kind))
+        if is_dataclass(kind):
+            _read_fields(path, value, kind, name + ".")
+            continue
         if kind is float:
             try:
                 data[key] = float(value)
             except OverflowError:
                 raise ValueError(f"{path}: config field {name!r} is too large for a float") from None
-        elif is_dataclass(kind):
-            _read_fields(path, value, kind, name + ".")
         elif kind is tuple:  # policies
             for item in value if isinstance(value, list) else ():
                 _check_type(path, name, item, str)
-            try:
+        try:
+            if kind is tuple:
                 data[key] = _parse_policies(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}: config field {name!r}: {exc}") from None
+            schema(**{key: data[key]})
+        except ValueError as exc:
+            raise ValueError(f"{path}: config field {name!r}: {exc}") from None
     return data
 
 
@@ -153,7 +159,7 @@ def _run_policies(config: ScenarioConfig):
 
     The garage is rebuilt from (temperature, seed) before each policy, so
     all policies face the same starting state.  Each run is (policy,
-    outcomes, cars parked, total elapsed seconds).
+    outcomes, total elapsed seconds, the first unplaced car or None).
     """
     runs = []
     for policy in config.policies:
@@ -161,28 +167,43 @@ def _run_policies(config: ScenarioConfig):
                                          config.temperature, config.seed)
         outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
                                        departure_prob=config.departure_prob)
-        parked = sum(o.parked_floor is not None for o in outcomes)
-        runs.append((policy, outcomes, parked, sum((o.elapsed_time for o in outcomes), 0.0)))
+        runs.append((policy, outcomes, sum((o.elapsed_time for o in outcomes), 0.0),
+                     _first_unplaced(outcomes, config.num_cars)))
     return runs
+
+
+def _first_unplaced(outcomes, num_cars: int) -> str | None:
+    """The first car that did not park and where it stopped: its last
+    scanned floor, or the full garage that turned it away."""
+    for car, outcome in enumerate(outcomes):
+        if outcome.car_index != car:  # car_index skips a turned-away car
+            return f"car {car} turned away, garage full"
+        if outcome.parked_floor is None:
+            return f"car {car} stranded after scanning floor {outcome.floors_scanned[-1]}"
+    if len(outcomes) < num_cars:
+        return f"car {len(outcomes)} turned away, garage full"
+    return None
 
 
 def cmd_simulate(config: ScenarioConfig, args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = []
-    all_parked = True
-    for policy, outcomes, parked, total in _run_policies(config):
+    code = EXIT_OK
+    for policy, outcomes, total, unplaced in _run_policies(config):
         write_outcomes_csv(out / f"{policy.value}_percar.csv", policy, outcomes)
         summary.append({
             "policy": policy.value,
             "total_time": total,
             "mean_time": total / len(outcomes) if outcomes else 0.0,
-            "stranded": len(outcomes) - parked,
+            "stranded": sum(o.parked_floor is None for o in outcomes),
             "turned_away": config.num_cars - len(outcomes),
         })
-        all_parked = all_parked and parked == config.num_cars
+        if unplaced:
+            print(f"policy {policy.value}: {unplaced}", file=sys.stderr)
+            code = EXIT_SIMULATION
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if all_parked else EXIT_SIMULATION
+    return code
 
 
 def cmd_sweep(config: ScenarioConfig, args) -> int:
@@ -196,13 +217,16 @@ def cmd_sweep(config: ScenarioConfig, args) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["temperature,policy,cumulative_seconds"]
-    all_parked = True
+    code = EXIT_OK
     for scenario in scenarios:
-        for policy, outcomes, parked, total in _run_policies(scenario):
+        for policy, _, total, unplaced in _run_policies(scenario):
             lines.append(f"{scenario.temperature!r},{policy.value},{total:.6f}")
-            all_parked = all_parked and parked == scenario.num_cars
+            if unplaced:
+                print(f"temperature {scenario.temperature!r}, policy {policy.value}: "
+                      f"{unplaced}", file=sys.stderr)
+                code = EXIT_SIMULATION
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_OK if all_parked else EXIT_SIMULATION
+    return code
 
 
 def cmd_fit(config: ScenarioConfig, args) -> int:

@@ -27,7 +27,7 @@ lot).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,12 +46,20 @@ class FitResult:
     the fit stopped: ``"converged"`` (the Newton step fell below the
     resolution), ``"pinned"`` (at a domain bound, the gradient pointing
     outward), ``"no_improving_step"`` (no move down to the resolution
-    lowers the loss) or ``"max_iterations"``."""
+    lowers the loss) or ``"max_iterations"``.
+
+    ``fixed_point`` is true when the last iteration accepted no step:
+    pinned, no improving step, or converged with its final step
+    rejected.  A fit started from ``temperature`` on the same
+    observations then recomputes the same loss, L' and L'' at the same
+    T and stops the same way, so it would return this temperature and
+    loss bit for bit.  It stays out of equality and repr."""
 
     temperature: float
     final_loss: float
     iterations: int
     stop_reason: str
+    fixed_point: bool = field(default=False, compare=False, repr=False)
 
     @property
     def clamped(self) -> bool:
@@ -196,10 +204,11 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
     loss = _loss(t, energies, fills)
     iterations = 0
     stop_reason = "max_iterations"
+    fixed_point = False  # the cap is reached only by an accepted step
     while iterations < _MAX_ITERATIONS:
         d1, d2 = _loss_derivatives(t, energies, fills)
         if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
-            stop_reason = "pinned"
+            stop_reason, fixed_point = "pinned", True
             break
         # not -L' where L'' <= 0: that crawls through the flat hot region
         du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
@@ -217,9 +226,10 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
             iterations += 1
         if converged or not improved:
             stop_reason = "converged" if converged else "no_improving_step"
+            fixed_point = not improved
             break
     return FitResult(temperature=t, final_loss=loss, iterations=iterations,
-                     stop_reason=stop_reason)
+                     stop_reason=stop_reason, fixed_point=fixed_point)
 
 
 def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: int,

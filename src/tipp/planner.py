@@ -167,8 +167,8 @@ class TippState:
     temperature_estimate: float = 0.5
     floor_observations: dict = field(default_factory=dict)
     # plan_parking's one-entry memos, private to this state:
-    # (key, fitted T) and (key, DpSolution)
-    _fit_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (keys, fitted T) and (key, DpSolution)
+    _fit_memo: tuple = field(default=((), None), init=False, repr=False, compare=False)
     _plan_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -195,17 +195,22 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
 
     The call also writes two one-entry memos on ``state``: the fit, keyed
     by a snapshot of the observations, the start temperature and N, and
-    the DP solution, keyed by (T, N, S, times).  A call whose key matches
-    the previous one reuses its result, which is exactly what recomputing
-    would give; a caller that edits ``floor_observations`` changes the
-    key and gets a refit.
+    the DP solution, keyed by (T, N, S, times).  A fit that ended on a
+    fixed point (``FitResult.fixed_point``) also answers the key with
+    its own result as the start, so the replan that follows it on
+    unchanged observations fits nothing.  A call whose key matches
+    reuses the memo, which is exactly what recomputing would give; a
+    caller that edits ``floor_observations`` changes the key and gets a
+    refit.
     """
     if num_levels < 1:  # the first error on every path, memo hit or miss
         raise ValueError("num_levels must be >= 1")
     temperature = state.temperature_estimate
     if state.floor_observations:
-        key = (tuple(state.floor_observations.items()), temperature, num_levels)
-        if state._fit_memo[0] != key:
+        observations = tuple(state.floor_observations.items())
+        key = (observations, temperature, num_levels)
+        keys, fitted = state._fit_memo
+        if key not in keys:
             floors = np.array(list(state.floor_observations))
             if not (floors.min() >= 1 and floors.max() <= num_levels):
                 raise ValueError(f"observed floors must lie in [1, {num_levels}]")
@@ -213,9 +218,13 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
                 raise ValueError("observed floors must be integers")
             fills = list(state.floor_observations.values())
             energies = level_energies(num_levels)[floors - 1]
-            fitted = fit_temperature(energies, fills, temperature).temperature
-            state._fit_memo = (key, fitted)
-        temperature = state._fit_memo[1]
+            fit = fit_temperature(energies, fills, temperature)
+            fitted = fit.temperature
+            keys = (key,)
+            if fit.fixed_point:  # a restart from its result returns it again
+                keys += ((observations, fitted, num_levels),)
+            state._fit_memo = (keys, fitted)
+        temperature = fitted
     key = (temperature, num_levels, capacity_per_level, times)
     if state._plan_memo[0] != key:
         q = spot_occupancy_prob(level_energies(num_levels), temperature)

@@ -78,6 +78,27 @@ class TestSimulate:
         assert [r[3] == "" for r in rows] == [car >= 54 for car in range(400)]
         assert summary["tipp"]["stranded"] == 346
 
+    def test_exit_3_names_the_first_unplaced_car_of_each_policy(self, tmp_path, capsys):
+        # the run above: three policies fill the 55 free spots and turn
+        # car 55 away; tipp strands car 54 at the deepest floor
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out), "--temperature", "1.0",
+                     "--num-cars", "400"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "policy benchmark: car 55 turned away, garage full",
+            "policy inverse: car 55 turned away, garage full",
+            "policy optimal: car 55 turned away, garage full",
+            "policy tipp: car 54 stranded after scanning floor 10",
+        ]
+        assert main(["sweep", "--out", str(tmp_path / "sweep"), "--temperatures", "0.5,1.0",
+                     "--num-cars", "56", "--policies", "optimal,tipp"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "temperature 1.0, policy optimal: car 55 turned away, garage full",
+            "temperature 1.0, policy tipp: car 54 stranded after scanning floor 10",
+        ]
+        assert main(["simulate", "--out", str(tmp_path / "ok"), "--num-cars", "6"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path / "x"), "--policies", "psychic"])
         assert code == 2
@@ -229,16 +250,45 @@ class TestConfigFile:
     ])
     def test_json_integer_reads_as_the_flag_does(self, tmp_path, capsys, data, flags):
         # a float field's JSON integer becomes a float, so the file and the
-        # flag give the same message (temperature 20.0, not 20)
+        # flag give the same message (temperature 20.0, not 20), the file's
+        # prefixed with the file and the field
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         out = ["--out", str(tmp_path / "o")]
         assert main(["simulate", "--config", str(cfg), *out]) == 2
         from_file = capsys.readouterr().err
         assert main(["simulate", *flags, *out]) == 2
-        assert capsys.readouterr().err == from_file
+        ((key, value),) = data.items()
+        name = f"{key}.{next(iter(value))}" if isinstance(value, dict) else key
+        where = f"error: {cfg}: config field {name!r}: "
+        assert from_file == capsys.readouterr().err.replace("error: ", where, 1)
         if "temperature" in data:
             assert "temperature 20.0 outside" in from_file
+
+    @pytest.mark.parametrize("text, field, flags, flag_error", [
+        ('{"temperature": NaN}', "temperature", ["--temperature", "nan"],
+         "temperature nan outside domain [0.001, 10.0]"),
+        ('{"temperature": 20}', "temperature", ["--temperature", "20"],
+         "temperature 20.0 outside domain [0.001, 10.0]"),
+        ('{"departure_prob": Infinity}', "departure_prob", ["--departure-prob", "inf"],
+         "departure_prob must lie in [0, 1]"),
+        ('{"times": {"t1": NaN}}', "times.t1", ["--t1", "nan"],
+         "t1 must be a positive finite number"),
+    ], ids=["temperature-nan", "temperature-20", "departure_prob-inf", "times.t1-nan"])
+    def test_out_of_domain_file_value_names_the_file(self, tmp_path, capsys, text, field,
+                                                     flags, flag_error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["simulate", "--config", str(cfg), *out]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config field {field!r}: {flag_error}\n"
+        # a good flag does not excuse a bad file value, as with a mistyped one
+        good = ["--config", str(cfg), flags[0], "0.5"]
+        assert main(["simulate", *good, *out]) == 2
+        assert f"{cfg}: config field {field!r}" in capsys.readouterr().err
+        assert main(["simulate", *flags, *out]) == 2
+        assert capsys.readouterr().err == f"error: {flag_error}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_json_integer_too_large_for_a_float_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -298,9 +348,10 @@ class TestSweep:
 def test_negative_seed_is_usage_error_before_any_output(tmp_path, capsys, verb):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": -1}))
-    for source in (["--seed", "-1"], ["--config", str(cfg)]):
+    for source, where in ((["--seed", "-1"], ""),
+                          (["--config", str(cfg)], f"{cfg}: config field 'seed': ")):
         assert main([*verb, *source, "--out", str(tmp_path / "o")]) == 2
-        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert f"error: {where}seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import types
+from collections import Counter
 from pathlib import Path
 
 import tipp
@@ -33,3 +34,24 @@ def test_every_bench_patch_point_resolves():
         assert attr in importlib.import_module(module).__dict__, (module, attr)
     for method, _ in spans.GARAGE_PATCHES:
         assert method in tipp.simulator.Garage.__dict__, method
+
+
+def test_every_closed_loop_fit_goes_through_the_patched_name(monkeypatch):
+    # the bench counts closed-loop fits by wrapping tipp.planner.fit_temperature;
+    # every fit sorts its observations once, so a fit made any other way
+    # shows up as a sort the wrapper did not see
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(tipp.planner, "fit_temperature")
+    counting(tipp.fitting, "_sorted_observations")
+    garage = tipp.Garage.from_temperature(10, 30, 1.0, seed=0)
+    tipp.run_policy_sequence(garage, tipp.PolicyKind.TIPP, 60)
+    assert calls["fit_temperature"] == calls["_sorted_observations"] > 0

@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,38 @@ class TestFitTemperature:
         energies, fills = np.array(pairs).T
         res = fit_temperature(energies, fills, start)
         assert res.final_loss <= mse_loss(start, energies, fills) + 1e-15
+
+    @given(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                  st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1, max_size=50),
+        st.floats(min_value=T_MIN, max_value=T_MAX))
+    @settings(max_examples=200, deadline=None)
+    def test_a_fixed_point_restarts_to_itself(self, pairs, start):
+        # plan_parking answers the replan from a fixed point out of its
+        # memo, which is sound only if that refit returns the same bits
+        energies, fills = np.array(pairs).T
+        res = fit_temperature(energies, fills, start)
+        if not res.fixed_point:
+            # pinned and no_improving_step stop before accepting a step
+            assert res.stop_reason in ("converged", "max_iterations")
+            return
+        again = fit_temperature(energies, fills, res.temperature)
+        assert again.temperature.hex() == res.temperature.hex()
+        assert again.final_loss.hex() == res.final_loss.hex()
+        assert (again.stop_reason, again.iterations) == (res.stop_reason, 0)
+        assert again.fixed_point
+
+    def test_fixed_point_stays_out_of_equality_and_repr(self):
+        # a fit whose last step was accepted is no fixed point, even when
+        # its restart happens to return the same temperature
+        moved = fit_temperature([0.64], [0.4], 0.5)
+        again = fit_temperature([0.64], [0.4], moved.temperature)
+        assert (moved.stop_reason, moved.fixed_point) == ("converged", False)
+        assert (again.stop_reason, again.fixed_point) == ("converged", True)
+        assert again.temperature == moved.temperature
+        assert replace(again, iterations=moved.iterations) == moved
+        assert "fixed_point" not in repr(again)
 
     def test_final_loss_is_the_loss_at_the_returned_temperature(self):
         rng = np.random.default_rng(29)

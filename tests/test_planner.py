@@ -422,15 +422,35 @@ class TestPlanMemo:
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
         plan_parking(state, 0, 10, 30, TIMES)
         solution = state._plan_memo[1]
-        # the second plan starts from the fitted T, a new fit key; the refit
-        # returns that T again, so the solution is reused
+        # the second plan starts from the fitted T; the fit ended on a fixed
+        # point, so its memo answers that start too, and the solution is reused
         plan_parking(state, 0, 10, 30, TIMES)
-        assert calls == Counter({"fit_temperature": 2, "solve_dp": 1})
+        assert calls == Counter({"fit_temperature": 1, "solve_dp": 1})
         for floor in (0, 2, 5):
             assert_same_plan(state, fresh(state), floor, 10, 30, TIMES)
         assert state._plan_memo[1] is solution
-        # the state now hits both memos: one fit and one solve for each fresh copy
-        assert calls == Counter({"fit_temperature": 5, "solve_dp": 4})
+        # the state hits both memos: one fit and one solve for each fresh copy
+        assert calls == Counter({"fit_temperature": 4, "solve_dp": 4})
+
+    @pytest.mark.parametrize("observations, stop_reason, fixed_point", [
+        ({3: 1.0, 7: 0.9}, "converged", True),  # its final step was rejected
+        ({4: 1.0}, "pinned", True),
+        ({8: 0.4}, "converged", False),  # the refit returns the same T
+        ({2: 0.3}, "converged", False),  # the refit moves T by an ulp
+    ])
+    def test_only_a_fixed_point_answers_the_replan_from_its_result(
+            self, calls, observations, stop_reason, fixed_point):
+        floors = list(observations)
+        fit = fit_temperature(level_energies(10)[np.array(floors) - 1],
+                              list(observations.values()), 0.5)
+        assert (fit.stop_reason, fit.fixed_point) == (stop_reason, fixed_point)
+        state = TippState(temperature_estimate=0.5, floor_observations=observations)
+        plan_parking(state, 0, 10, 30, TIMES)
+        assert state.temperature_estimate == fit.temperature
+        assert_same_plan(state, fresh(state), 0, 10, 30, TIMES)
+        # the state refits only when its last fit accepted a step; the
+        # fresh copy always fits
+        assert calls["fit_temperature"] == (2 if fixed_point else 3)
 
     def test_direct_edit_of_observations_forces_a_refit(self, calls):
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0})
@@ -487,17 +507,17 @@ class TestPlanMemo:
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
         plan_parking(state, 0, 10, 30, TIMES)  # a fit and a solve
         assert built == [10, 10]
-        plan_parking(state, 0, 10, 30, TIMES)  # a fit from the fitted T, a solve hit
-        assert built == [10] * 3
+        plan_parking(state, 0, 10, 30, TIMES)  # a fixed-point fit hit, a solve hit
+        assert built == [10, 10]
         for floor in (0, 2, 5):
             assert_same_plan(state, fresh(state), floor, 10, 30, TIMES)
-        assert built == [10] * 9  # two for each fresh copy, none for a hit
+        assert built == [10] * 8  # two for each fresh copy, none for a hit
 
     def test_memos_stay_out_of_init_repr_and_equality(self):
         used = TippState(floor_observations={2: 1.0})
         plan_parking(used, 0, 10, 30, TIMES)
         unused = fresh(used)
-        assert used._fit_memo[1] is not None and unused._fit_memo == (None, None)
+        assert used._fit_memo[1] is not None and unused._fit_memo == ((), None)
         assert used == unused
         assert repr(used) == repr(unused) and "memo" not in repr(used)
         with pytest.raises(TypeError):
