@@ -17,6 +17,7 @@ each policy's first such car).
 """
 
 import argparse
+import copy
 import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -155,16 +156,19 @@ def build_config(args) -> ScenarioConfig:
 
 
 def _run_policies(config: ScenarioConfig):
-    """Run every requested policy on a freshly initialized garage.
+    """Run every requested policy on its own copy of one initialized garage.
 
-    The garage is rebuilt from (temperature, seed) before each policy, so
-    all policies face the same starting state.  Each run is (policy,
-    outcomes, total elapsed seconds, the first unplaced car or None).
+    The garage is built once from (temperature, seed) and each policy
+    runs on a deep copy, random generator state included, so all
+    policies face the same starting state and the same renewal draws.
+    Each run is (policy, outcomes, total elapsed seconds, the first
+    unplaced car or None).
     """
+    template = Garage.from_temperature(config.num_levels, config.capacity_per_level,
+                                       config.temperature, config.seed)
     runs = []
     for policy in config.policies:
-        garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
-                                         config.temperature, config.seed)
+        garage = copy.deepcopy(template)
         outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
                                        departure_prob=config.departure_prob)
         runs.append((policy, outcomes, sum((o.elapsed_time for o in outcomes), 0.0),

@@ -120,6 +120,14 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
     """Validate observation arrays and sort them by (energy, fill).
 
     Sorting makes the loss (a mean) exactly invariant to input order.
+    One argsort orders the energies; only when two sorted energies tie
+    does a lexsort over the energy-sorted keys order fill within each
+    tied run.  With distinct energies the permutation is unique, so the
+    arrays equal those of one two-key lexsort byte for byte.  With ties,
+    the two can differ only on pairs equal in both keys, which differ at
+    most in the sign of a zero; each term such a pair adds to the loss,
+    L' or L'' is then bitwise the same or a zero, and a float sum of
+    zeros is -0 only when every term is, so every fit is unchanged.
     Energies above 700 T_MAX are clipped to it after the sort, so E/T
     stays finite; q is unchanged, as E/T >= 700 is capped either way.
     """
@@ -134,8 +142,11 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("energies must be finite and non-negative")
     if not (f.min() >= 0 and f.max() <= 1):
         raise ValueError("fills must lie in [0, 1]")
-    order = np.lexsort((f, e))
+    order = e.argsort()
     e = e[order]
+    if np.count_nonzero(e[1:] == e[:-1]):
+        sub = np.lexsort((f[order], e))
+        order, e = order[sub], e[sub]
     if hi > _ENERGY_CAP:
         np.minimum(e, _ENERGY_CAP, out=e)
     return e, f[order]

@@ -57,6 +57,12 @@ class Garage:
     directly.
     """
 
+    # slots, not an instance dict: a deep copy (one per policy run) then
+    # keeps the attribute reads of the scan and renewal loops as fast as
+    # on a garage built directly
+    __slots__ = ("num_levels", "capacity_per_level", "occupancy", "free", "rng",
+                 "init_temperature")
+
     def __init__(self, num_levels: int, capacity_per_level: int, seed: int = 0):
         if num_levels < 1 or capacity_per_level < 1:
             raise ValueError("garage dimensions must be >= 1")

@@ -6,15 +6,24 @@ via dense grid search and via first-order descent on T, the descent
 program via exhaustive enumeration of committed itineraries and via a
 full O(N^2) scan of every j > i, the time law via per-segment
 accounting, the tipp closed loop via plans that each start from a
-fresh copy of the policy memory, so no memo carries over, and the
-garage via a bool grid alone, with no per-floor counts.
+fresh copy of the policy memory, so no memo carries over, the
+garage via a bool grid alone, with no per-floor counts, and the sorted
+observations via one two-key lexsort.  Also here: a gridded survey,
+whose spot energies tie.
 """
 
 import itertools
 
 import numpy as np
 
-from tipp import TippState, level_energies, level_fill_count, plan_parking, spot_occupancy_prob
+from tipp import (
+    LotSurvey,
+    TippState,
+    level_energies,
+    level_fill_count,
+    plan_parking,
+    spot_occupancy_prob,
+)
 
 
 def q_reference(energy, temperature, k=1.0):
@@ -27,6 +36,29 @@ def mse_reference(temperature, pairs, k=1.0):
     arr = np.asarray(pairs, dtype=float)
     q = q_reference(arr[:, 0], temperature, k)
     return float(np.mean((q - arr[:, 1]) ** 2))
+
+
+def sorted_observations_reference(energies, fills, cap):
+    """Observations sorted by (energy, fill) with one stable lexsort, then
+    energies clipped to ``cap``."""
+    energies = np.asarray(energies, dtype=float)
+    fills = np.asarray(fills, dtype=float)
+    order = np.lexsort((fills, energies))
+    return np.minimum(energies[order], cap), fills[order]
+
+
+def grid_survey(side, temperature, seed):
+    """A side x side lot of unit-spaced spots around a central point of
+    interest, occupancy drawn per spot from the model at ``temperature``.
+    Spots symmetric about the point of interest share an energy."""
+    x, y = np.meshgrid(np.arange(side, dtype=float), np.arange(side, dtype=float))
+    x, y = x.ravel(), y.ravel()
+    centre = (side - 1) / 2
+    energies = (x - centre) ** 2 + (y - centre) ** 2
+    energies /= energies.max()
+    rng = np.random.default_rng(seed)
+    occupied = rng.random(x.size) < spot_occupancy_prob(energies, temperature)
+    return LotSurvey(x=x, y=y, occupied=occupied, poi=(centre, centre))
 
 
 def grid_search_temperature(energies, fills, resolution=1e-4, lo=1e-3, hi=10.0, k=1.0):

@@ -13,6 +13,8 @@ import tipp
 from tipp import LotSurvey, save_survey, synthetic_survey
 from tipp.cli import ScenarioConfig, build_parser, main
 
+from oracles import grid_survey
+
 HEADER = ("car_index,policy,floors_scanned,parked_floor,spot_index,"
           "elapsed_seconds,cumulative_seconds,temperature_estimate")
 
@@ -98,6 +100,18 @@ class TestSimulate:
         ]
         assert main(["simulate", "--out", str(tmp_path / "ok"), "--num-cars", "6"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_each_policy_runs_as_if_alone(self, tmp_path):
+        # with departures every policy draws renewals from the garage's
+        # generator, so policies sharing one garage or one generator differ
+        flags = ["--num-levels", "20", "--capacity-per-level", "20", "--temperature", "0.5",
+                 "--seed", "3", "--num-cars", "600", "--departure-prob", repr(1 / 277)]
+        main(["simulate", "--out", str(tmp_path / "all"), *flags])
+        for policy in ("benchmark", "inverse", "optimal", "tipp"):
+            alone = tmp_path / policy
+            main(["simulate", "--out", str(alone), "--policies", policy, *flags])
+            name = f"{policy}_percar.csv"
+            assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
 
     def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path / "x"), "--policies", "psychic"])
@@ -502,6 +516,25 @@ def test_fit_verbs_pin_their_outputs(tmp_path):
             "363c5afc05eb0faa213b6431bca164a2e919fe07126b57a69a37250b4db6038f",
         "curve/sample_curve.csv":
             "2c3f478cb696fcbd9b05f506abf2481e8a8880b10e256c832b7c5ed8eaab17ad",
+    }
+
+
+def test_fit_verbs_pin_their_outputs_on_tied_energies(tmp_path):
+    # a gridded lot, where many spots share an energy, so the fit's sort
+    # orders tied runs by fill; pinned as first written
+    path = tmp_path / "grid.csv"
+    save_survey(grid_survey(41, 0.5, 0), path)
+    assert main(["fit", str(path), "--out", str(tmp_path / "fit")]) == 0
+    assert main(["sample-curve", str(path), "--sizes", "5,50,400", "--trials", "10",
+                 "--seed", "0", "--out", str(tmp_path / "curve")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("grid.csv", "fit/fit_report.json", "curve/sample_curve.csv")}
+    assert digests == {
+        "grid.csv": "e21b0557a9c9bd09c302adcfc3ccdd8091aae1aa29e92887d5167cb230fa2e70",
+        "fit/fit_report.json":
+            "538759934437d981f74b0ee9a2046df32f0b48ffeece164ff7d012a5e0bcf00a",
+        "curve/sample_curve.csv":
+            "7c5a81e9cffbfc4c882515dbb47c752a90e9806d4d271ef5363a623364b00db6",
     }
 
 

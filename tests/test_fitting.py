@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tipp import (
@@ -20,13 +20,16 @@ from tipp import (
     survey_to_observations,
     synthetic_survey,
 )
-from tipp.fitting import _loss_derivatives, _sorted_observations
+from tipp.fitting import _loss, _loss_derivatives, _sorted_observations
+from tipp.model import _ENERGY_CAP
 
 from oracles import (
     central_difference,
     descent_fit_reference,
     grid_search_temperature,
+    grid_survey,
     second_difference,
+    sorted_observations_reference,
 )
 
 # (1 - q(1, 0.5))**2 at high precision
@@ -160,12 +163,15 @@ class TestFitTemperature:
 
     def test_order_invariance_is_exact(self):
         rng = np.random.default_rng(5)
-        energies, fills = rng.uniform(0, 1, 30), rng.integers(0, 2, 30).astype(float)
-        res_a = fit_temperature(energies, fills)
-        order = rng.permutation(30)
-        res_b = fit_temperature(energies[order], fills[order])
-        assert res_a.temperature == res_b.temperature
-        assert res_a.final_loss == res_b.final_loss
+        distinct = rng.uniform(0, 1, 30), rng.integers(0, 2, 30).astype(float)
+        tied = survey_to_observations(grid_survey(41, 0.5, 0))
+        assert np.unique(tied[0]).size < tied[0].size
+        for energies, fills in (distinct, tied):
+            res_a = fit_temperature(energies, fills)
+            order = rng.permutation(energies.size)
+            res_b = fit_temperature(energies[order], fills[order])
+            assert res_a.temperature == res_b.temperature
+            assert res_a.final_loss == res_b.final_loss
 
     def test_matches_grid_oracle_on_random_sets(self):
         rng = np.random.default_rng(17)
@@ -343,6 +349,32 @@ class TestObservation:
             fit_temperature([0.5, 0.0, 1.0], fills)
         with pytest.raises(ValueError, match=r"fills must lie in \[0, 1\]"):
             mse_loss(0.5, [0.5, 0.0, 1.0], fills)
+
+
+# a small pool makes ties common: -0.0 ties 0.0, and the energies above
+# the cap are clipped to it after the sort
+ENERGY_POOL = [0.0, -0.0, 0.25, 0.5, 1.0, 2 * _ENERGY_CAP, 1e300]
+FILL_POOL = [0.0, -0.0, 0.5, 1.0]
+
+
+class TestSortedObservations:
+    @given(st.lists(
+        st.tuples(st.one_of(st.sampled_from(ENERGY_POOL), st.floats(min_value=0.0, max_value=4.0)),
+                  st.sampled_from(FILL_POOL)),
+        min_size=1, max_size=40),
+        st.floats(min_value=T_MIN, max_value=T_MAX))
+    @example([(2 * _ENERGY_CAP, -0.0)], 0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_lexsort_reference(self, pairs, t):
+        energies, fills = np.array(pairs).T
+        got = _sorted_observations(energies, fills)
+        ref = sorted_observations_reference(energies, fills, _ENERGY_CAP)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        if not (np.signbit(energies).any() or np.signbit(fills).any()):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+        # where a signed zero moves, the loss and its derivatives do not
+        assert repr(_loss(t, *got)) == repr(_loss(t, *ref))
+        assert repr(_loss_derivatives(t, *got)) == repr(_loss_derivatives(t, *ref))
 
 
 class TestSampleEfficiencyCurve:
