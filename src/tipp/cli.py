@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .fitting import (
+    _plain_number,
     fit_temperature,
     load_survey,
     sample_efficiency_curve,
@@ -278,12 +279,25 @@ def cmd_render(config: ScenarioConfig, args) -> int:
     return EXIT_OK
 
 
+def _plain(kind):
+    """``kind`` (int or float) as an argparse type that first requires the
+    text to be ASCII with no '_'."""
+    def parse(text: str):
+        if not _plain_number(text):
+            raise ValueError(text)
+        return kind(text)
+    return parse
+
+
+_int, _float = _plain(int), _plain(float)
+
+
 def _comma_floats(value: str) -> list:
-    return [float(v) for v in value.split(",") if v]
+    return [_float(v) for v in value.split(",") if v]
 
 
 def _comma_ints(value: str) -> list:
-    return [int(v) for v in value.split(",") if v]
+    return [_int(v) for v in value.split(",") if v]
 
 
 def _add_garage_flags(parser: argparse.ArgumentParser) -> None:
@@ -310,6 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     def verb(name, help_text, run):
         # no abbreviations, so that --temperature never stands for --temperatures
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        # every type=int and type=float flag reads through the number check;
+        # an error still says "invalid int value" and names the flag
+        p.register("type", int, _int)
+        p.register("type", float, _float)
         p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file mirroring the scenario fields")
         p.add_argument("--seed", type=int, help="random seed")

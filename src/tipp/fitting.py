@@ -295,21 +295,62 @@ def synthetic_survey(num_spots: int, temperature: float, seed: int) -> LotSurvey
     return LotSurvey(x=x, y=y, occupied=occupied, poi=poi)
 
 
+def _plain_number(text: str) -> bool:
+    """True when ``text`` is ASCII with no '_'.  ``float()`` and ``int()``
+    also read digit separators and non-ASCII digits, which no number
+    given to tipp may use."""
+    return text.isascii() and "_" not in text
+
+
+def _bulk_spots(fh, start):
+    """The spot records from ``start``, where ``fh`` stands, to its end, as
+    ``(x, y, occupied)`` from one C pass, or None where the line loop must
+    decide: a non-ASCII character, '_' or NUL in the text (loadtxt skips
+    non-ASCII blanks and drops a flag's trailing NUL), no record, or a
+    line other than ``<x>,<y>,<0|1>`` with finite coordinates.  On that
+    subset loadtxt reads each number as ``float()`` does."""
+    records = False
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if not _plain_number(chunk) or "\x00" in chunk:
+            return None
+        records = records or "," in chunk  # loadtxt warns on a body with no record
+    fh.seek(start)
+    if not records:
+        return None
+    try:  # two flag characters, so that 10 or 1.0 stays whole and fails the check
+        spots = np.loadtxt(fh, dtype=[("x", float), ("y", float), ("flag", "U2")],
+                           delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    x, y, flag = spots["x"].copy(), spots["y"].copy(), spots["flag"]
+    occupied = flag == "1"
+    if not (np.all(occupied | (flag == "0")) and np.isfinite(x).all() and np.isfinite(y).all()):
+        return None
+    return x, y, occupied
+
+
 def load_survey(path) -> LotSurvey:
     """Parse a survey CSV.
 
     Format: lines starting with '#' are comments; the first data line is
-    ``poi,<x>,<y>``; every following line is ``<x>,<y>,<0|1>``.  Each
-    record is checked as it is read, so an error names the first bad
-    record's ``<path>:<line>``.
+    ``poi,<x>,<y>``; every following line is ``<x>,<y>,<0|1>``.  A data
+    line is ASCII with no '_'.  Each record is checked as it is read, so
+    an error names the first bad record's ``<path>:<line>``.  After the
+    POI line a seekable file's records are parsed in one C pass when
+    they are all in the plain form; otherwise the line loop, which
+    defines the format and every error, reads them from there.
     """
     poi = None
     xs, ys, occ = [], [], []
     with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        # readline, not iteration, so that tell() works after the POI line
+        lines = enumerate(iter(fh.readline, ""), start=1)
+        for lineno, raw in lines:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if not _plain_number(raw):
+                raise ValueError(f"{path}:{lineno}: a data line must be ASCII with no '_'")
             parts = line.split(",")  # float() ignores a field's surrounding blanks
             if poi is None:
                 if len(parts) != 3 or parts[0].strip() != "poi":
@@ -322,6 +363,12 @@ def load_survey(path) -> LotSurvey:
                     raise ValueError(f"{path}:{lineno}: malformed POI coordinates") from None
                 if not all(map(math.isfinite, poi)):
                     raise ValueError(f"{path}:{lineno}: point of interest must be finite")
+                if fh.seekable():
+                    start = fh.tell()
+                    spots = _bulk_spots(fh, start)
+                    if spots is not None:
+                        break
+                    fh.seek(start)
                 continue
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected '<x>,<y>,<0|1>'")
@@ -338,16 +385,19 @@ def load_survey(path) -> LotSurvey:
             xs.append(x)
             ys.append(y)
             occ.append(flag == "1")
+        else:  # no break: the loop read every record
+            spots = np.array(xs), np.array(ys), np.array(occ)
     if poi is None:
         raise ValueError(f"{path}: missing 'poi,<x>,<y>' record")
-    if len(xs) < 2:
+    x, y, occupied = spots
+    if len(x) < 2:
         raise ValueError(f"{path}: survey needs at least 2 spots")
-    return LotSurvey(x=np.array(xs), y=np.array(ys), occupied=np.array(occ), poi=poi)
+    return LotSurvey(x=x, y=y, occupied=occupied, poi=poi)
 
 
 def save_survey(survey: LotSurvey, path) -> None:
     """Write a survey in the CSV format understood by :func:`load_survey`."""
     with open(path, "w", newline="") as fh:
         fh.write(f"poi,{survey.poi[0]!r},{survey.poi[1]!r}\n")
-        for x, y, occ in zip(survey.x, survey.y, survey.occupied):
-            fh.write(f"{float(x)!r},{float(y)!r},{1 if occ else 0}\n")
+        for x, y, occ in zip(survey.x.tolist(), survey.y.tolist(), survey.occupied.tolist()):
+            fh.write(f"{x!r},{y!r},{1 if occ else 0}\n")

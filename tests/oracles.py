@@ -8,11 +8,12 @@ full O(N^2) scan of every j > i, the time law via per-segment
 accounting, the tipp closed loop via plans that each start from a
 fresh copy of the policy memory, so no memo carries over, the
 garage via a bool grid alone, with no per-floor counts, and the sorted
-observations via one two-key lexsort.  Also here: a gridded survey,
-whose spot energies tie.
+observations via one two-key lexsort, and the survey reader via its
+line loop alone.  Also here: a gridded survey, whose spot energies tie.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -59,6 +60,53 @@ def grid_survey(side, temperature, seed):
     rng = np.random.default_rng(seed)
     occupied = rng.random(x.size) < spot_occupancy_prob(energies, temperature)
     return LotSurvey(x=x, y=y, occupied=occupied, poi=(centre, centre))
+
+
+def load_survey_reference(path):
+    """A survey CSV read line by line: every record checked as it is read,
+    a data line ASCII with no '_', each error naming ``<path>:<line>``."""
+    poi = None
+    xs, ys, occ = [], [], []
+    with open(path, newline="") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if not raw.isascii() or "_" in raw:
+                raise ValueError(f"{path}:{lineno}: a data line must be ASCII with no '_'")
+            parts = line.split(",")
+            if poi is None:
+                if len(parts) != 3 or parts[0].strip() != "poi":
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 'poi,<x>,<y>' as the first data line"
+                    )
+                try:
+                    poi = (float(parts[1]), float(parts[2]))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed POI coordinates") from None
+                if not all(map(math.isfinite, poi)):
+                    raise ValueError(f"{path}:{lineno}: point of interest must be finite")
+                continue
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected '<x>,<y>,<0|1>'")
+            try:
+                x = float(parts[0])
+                y = float(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed coordinates") from None
+            flag = parts[2].strip()
+            if flag not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: occupancy flag must be 0 or 1")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: spot coordinates must be finite")
+            xs.append(x)
+            ys.append(y)
+            occ.append(flag == "1")
+    if poi is None:
+        raise ValueError(f"{path}: missing 'poi,<x>,<y>' record")
+    if len(xs) < 2:
+        raise ValueError(f"{path}: survey needs at least 2 spots")
+    return LotSurvey(x=np.array(xs), y=np.array(ys), occupied=np.array(occ), poi=poi)
 
 
 def grid_search_temperature(energies, fills, resolution=1e-4, lo=1e-3, hi=10.0, k=1.0):

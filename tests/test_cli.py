@@ -389,6 +389,23 @@ def test_flag_the_verb_does_not_read_is_usage_error(tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--num-cars", "1_0", "--seed", "\uff11"], "--num-cars"),
+    (["simulate", "--seed", "\uff11"], "--seed"),
+    (["simulate", "--temperature", "\uff10.5"], "--temperature"),
+    (["sweep", "--temperatures", "0_5"], "--temperatures"),
+    (["sample-curve", "lot.csv", "--sizes", "1_0"], "--sizes"),
+    (["fit", "lot.csv", "--initial-temperature", "0_5"], "--initial-temperature"),
+])
+def test_digit_separator_or_non_ascii_digit_is_usage_error(tmp_path, capsys, argv, flag):
+    # int() and float() read '1_0' as 10 and a fullwidth '1' as 1
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out"}
 GARAGE_FLAGS = {"--num-levels", "--capacity-per-level"}
 RUN_FLAGS = set(RUN_ONLY_FLAGS)
@@ -442,6 +459,14 @@ class TestFit:
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("spot", ["1_0,0,1", "\uff11,0,0"])
+    def test_digit_separator_or_non_ascii_digit_names_the_line(self, tmp_path, capsys, spot):
+        path = tmp_path / "lot.csv"
+        path.write_text(f"poi,0,0\n2,0,0\n{spot}\n3,0,1\n")
+        assert main(["fit", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:3: a data line must be ASCII with no '_'\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_point_of_interest_is_usage_error(self, tmp_path, capsys, value):

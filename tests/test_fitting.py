@@ -1,4 +1,5 @@
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from tipp import (
     survey_to_observations,
     synthetic_survey,
 )
+from tipp import fitting
 from tipp.fitting import _loss, _loss_derivatives, _sorted_observations
 from tipp.model import _ENERGY_CAP
 
@@ -28,6 +30,7 @@ from oracles import (
     descent_fit_reference,
     grid_search_temperature,
     grid_survey,
+    load_survey_reference,
     second_difference,
     sorted_observations_reference,
 )
@@ -414,6 +417,43 @@ class TestSampleEfficiencyCurve:
             sample_efficiency_curve(survey, [], trials_per_size=2, seed=0)
 
 
+ODD_NUMBERS = ["\u00a03", "1_0", "\uff11", "4\u00a0", "nan", "1e400", "inf", "-0", " 1", "\t2 "]
+ODD_FLAGS = ["1\x00", "10", "1\u00a0", "1.0", "+1", "01", "-0", " 1 ", "1 ", "\x000"]
+ASIDES = ["# a lot, \u00fc", "#1,2,1", "", "   ", "\t"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def survey_texts(draw):
+    """A plain survey CSV (a POI, 0-3 spots, repr or %.3e numbers, 0/1
+    flags, one line ending), then 0-3 odd edits: an unusual or padded
+    number, an unusual flag, another line ending, a comment or blank
+    line, a dropped POI record; and at times no final line end."""
+    number = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([repr(v), f"{v:.3e}"]))
+    rows = [["poi", draw(number), draw(number)]]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append([draw(number), draw(number), draw(st.sampled_from(["0", "1"]))])
+    ends = [draw(st.sampled_from(LINE_ENDS))] * len(rows)
+    before = [""] * (len(rows) + 1)  # comment and blank lines before each row, and at the end
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["number", "flag", "end", "aside", "no poi"]))
+        if kind == "number" and rows[i]:
+            rows[i][draw(st.integers(0, 1)) + (i == 0)] = draw(st.sampled_from(ODD_NUMBERS))
+        elif kind == "flag" and i > 0:
+            rows[i][2] = draw(st.sampled_from(ODD_FLAGS))
+        elif kind == "end":
+            ends[i] = draw(st.sampled_from(LINE_ENDS))
+        elif kind == "aside":
+            before[draw(st.integers(0, len(rows)))] += draw(st.sampled_from(ASIDES)) + ends[0]
+        elif kind == "no poi":
+            rows[0] = None
+    text = "".join(b + ",".join(row) + end for b, row, end in zip(before, rows, ends) if row)
+    text += before[-1]
+    return text.rstrip("\r\n") if draw(st.booleans()) else text  # no final line end
+
+
 class TestSurveyIO:
     def test_roundtrip(self, tmp_path):
         survey = synthetic_survey(30, 0.5, seed=4)
@@ -486,6 +526,83 @@ class TestSurveyIO:
         path.write_text("# lot\npoi,0,nan\n1,0,1\n2,0,0\n")
         with pytest.raises(ValueError, match="lot.csv:2: point of interest must be finite"):
             load_survey(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("poi,0,0\n1_0,0,1\n2,0,0\n", 2),
+        ("poi,0,0\n2,0,0\n\uff11,0,0\n", 3),
+        ("# lot\npoi,1_0,0\n1,0,1\n2,0,0\n", 2),
+        ("poi,0,0\n1,0,1\n2,0,\u00a01\n", 3),
+    ])
+    def test_digit_separator_or_non_ascii_names_the_line(self, tmp_path, text, line):
+        # float() reads '1_0' as 10 and a fullwidth '1' as 1
+        path = tmp_path / "lot.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"lot.csv:{line}: a data line must be ASCII with no '_'"):
+            load_survey(path)
+
+    def test_comments_may_hold_any_text(self, tmp_path):
+        path = tmp_path / "lot.csv"
+        path.write_text("# lot_1, \uff11\u00a0\npoi,0,0\n# row_2 \u00e9\n1,0,1\n2,0,0\n",
+                        encoding="utf-8")
+        np.testing.assert_array_equal(load_survey(path).x, [1.0, 2.0])
+
+    def test_saved_surveys_take_the_one_pass_parse(self, tmp_path, monkeypatch):
+        # the line loop would return the same arrays, only slower, so a
+        # silent fallback shows only in this count
+        accepted = []
+        bulk = fitting._bulk_spots
+
+        def counted(fh, start):
+            spots = bulk(fh, start)
+            accepted.append(spots is not None)
+            return spots
+
+        monkeypatch.setattr(fitting, "_bulk_spots", counted)
+        path = tmp_path / "lot.csv"
+        for survey in (synthetic_survey(500, 0.5, seed=3), grid_survey(9, 0.5, 0)):
+            save_survey(survey, path)
+            for text in (path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n")):
+                path.write_bytes(text)
+                loaded = load_survey(path)
+                for name in ("x", "y", "occupied"):
+                    array = getattr(loaded, name)
+                    assert array.flags.c_contiguous
+                    assert array.tobytes() == getattr(survey, name).tobytes()
+        assert accepted == [True] * 4
+
+    def test_save_survey_pins_its_bytes(self, tmp_path):
+        # signed zeros, subnormals and the largest float, as first written
+        survey = LotSurvey(x=[-0.0, 5e-324, 0.1, 1 / 3, 1e16, -1.7976931348623157e308],
+                           y=[2.5e-310, -7.0, 123456789.125, 1e-7, 0.0, 3.0],
+                           occupied=[True, False, True, True, False, False], poi=(-0.0, 1e22))
+        path = tmp_path / "lot.csv"
+        save_survey(survey, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2d0aa54d2f518597459cc07f0153ffbda3cfcb765cc8052c77162c7d5473a604")
+        loaded = load_survey(path)
+        for name in ("x", "y", "occupied"):
+            assert getattr(loaded, name).tobytes() == getattr(survey, name).tobytes()
+
+    @given(survey_texts())
+    @example("poi,0,0\n\n")  # no record after the POI line
+    @example("poi,0,0\n1,2,1\x00\n3,4,0\n")  # loadtxt drops a flag's trailing NUL
+    @example("poi,0,0\n\u00a03,1,0\n2,0,1\n")  # and skips non-ASCII blanks
+    @example("poi,0,0\r1,2,10\r3,4,0")  # a flag that one character would cut to 1
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_loop_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("survey") / "lot.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = load_survey_reference(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                load_survey(path)
+            assert str(got.value) == str(exc)
+            return
+        loaded = load_survey(path)
+        for name in ("x", "y", "occupied"):
+            assert getattr(loaded, name).tobytes() == getattr(expected, name).tobytes()
+        assert np.array(loaded.poi).tobytes() == np.array(expected.poi).tobytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_a_non_finite_point_of_interest(self, bad):
