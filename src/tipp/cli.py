@@ -45,7 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SIMULATION = 3
 
-ALL_POLICIES = (PolicyKind.BENCHMARK, PolicyKind.INVERSE, PolicyKind.OPTIMAL, PolicyKind.TIPP)
+ALL_POLICIES = tuple(PolicyKind)
 
 
 @dataclass(frozen=True)
@@ -292,12 +292,15 @@ def _plain(kind):
 _int, _float = _plain(int), _plain(float)
 
 
-def _comma_floats(value: str) -> list:
-    return [_float(v) for v in value.split(",") if v]
+def _comma_list(kind):
+    """A comma-separated list of ``kind`` as an argparse type; a bad list
+    reads "invalid int list value" as a bad scalar reads "invalid int value"."""
+    parse = _plain(kind)
 
-
-def _comma_ints(value: str) -> list:
-    return [_int(v) for v in value.split(",") if v]
+    def parse_list(text: str) -> list:
+        return [parse(v) for v in text.split(",") if v]
+    parse_list.__name__ = f"{kind.__name__} list"
+    return parse_list
 
 
 def _add_garage_flags(parser: argparse.ArgumentParser) -> None:
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("sweep", "simulate across temperatures", cmd_sweep)
     _add_garage_flags(p)
     _add_run_flags(p)
-    p.add_argument("--temperatures", type=_comma_floats, required=True,
+    p.add_argument("--temperatures", type=_comma_list(float), required=True,
                    help="comma-separated temperatures, e.g. 0.1,0.5,1.0")
 
     p = verb("fit", "fit a lot temperature from a survey CSV", cmd_fit)
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = verb("sample-curve", "sample-efficiency curve for a survey", cmd_sample_curve)
     p.add_argument("--initial-temperature", dest="initial_temperature", type=float)
     p.add_argument("survey", help="survey CSV path")
-    p.add_argument("--sizes", type=_comma_ints, required=True,
+    p.add_argument("--sizes", type=_comma_list(int), required=True,
                    help="comma-separated sample sizes, e.g. 5,10,20,50,105")
     p.add_argument("--trials", type=int, default=50)
 

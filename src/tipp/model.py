@@ -89,15 +89,14 @@ def level_fill_count(q: float, capacity: int) -> int:
     """Occupied-spot count for a floor: q * capacity rounded half-up.
 
     The rounding is done in exact rational arithmetic so that .5 ties
-    resolve identically on every platform.  The result is clamped to
-    [0, capacity].
+    resolve identically on every platform.  As q lies in [0, 1] the
+    count lies in [0, capacity].
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    count = math.floor(Fraction(float(q)) * capacity + Fraction(1, 2))
-    return min(max(count, 0), capacity)
+    return math.floor(Fraction(float(q)) * capacity + Fraction(1, 2))
 
 
 def level_availability_prob(q, capacity: int):

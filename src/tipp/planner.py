@@ -161,14 +161,15 @@ class TippState:
 
     ``temperature_estimate`` is the prior, then the latest fit, which
     ``plan_parking`` writes; ``floor_observations`` maps each floor
-    scanned so far to the fill fraction last seen there.
+    scanned so far to the fill fraction last seen there.  ``plan_parking``
+    keeps its last DP solution here with the key it was solved for.  A
+    fit that ended on a fixed point leaves its observations, T and N
+    here too (else None).  Neither memo is an init field, shown or compared.
     """
 
     temperature_estimate: float = 0.5
     floor_observations: dict = field(default_factory=dict)
-    # plan_parking's one-entry memos, private to this state:
-    # (keys, fitted T) and (key, DpSolution)
-    _fit_memo: tuple = field(default=((), None), init=False, repr=False, compare=False)
+    _fit_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _plan_memo: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,38 +194,31 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     new estimate; otherwise the estimate is kept.  The fit and q read the same floor energies,
     ``level_energies(N)``, built only when a memo misses.
 
-    The call also writes two one-entry memos on ``state``: the fit, keyed
-    by a snapshot of the observations, the start temperature and N, and
-    the DP solution, keyed by (T, N, S, times).  A fit that ended on a
-    fixed point (``FitResult.fixed_point``) also answers the key with
-    its own result as the start, so the replan that follows it on
-    unchanged observations fits nothing.  A call whose key matches
-    reuses the memo, which is exactly what recomputing would give; a
-    caller that edits ``floor_observations`` changes the key and gets a
-    refit.
+    The DP solution is kept on ``state`` keyed by (T, N, S, times), and
+    a call with the same key reuses it.  A fit that ended on a fixed
+    point (``FitResult.fixed_point``) leaves the observations, its
+    result and N on ``state``: a fit from that result on those
+    observations returns it again bit for bit, so the call that matches
+    them keeps the estimate and fits nothing.  Either reuse is exactly
+    what recomputing would give; a caller that edits
+    ``floor_observations`` gets a refit.
     """
     if num_levels < 1:  # the first error on every path, memo hit or miss
         raise ValueError("num_levels must be >= 1")
     temperature = state.temperature_estimate
-    if state.floor_observations:
-        observations = tuple(state.floor_observations.items())
-        key = (observations, temperature, num_levels)
-        keys, fitted = state._fit_memo
-        if key not in keys:
-            floors = np.array(list(state.floor_observations))
-            if not (floors.min() >= 1 and floors.max() <= num_levels):
-                raise ValueError(f"observed floors must lie in [1, {num_levels}]")
-            if floors.dtype.kind not in "iu":  # 2.0 is no index
-                raise ValueError("observed floors must be integers")
-            fills = list(state.floor_observations.values())
-            energies = level_energies(num_levels)[floors - 1]
-            fit = fit_temperature(energies, fills, temperature)
-            fitted = fit.temperature
-            keys = (key,)
-            if fit.fixed_point:  # a restart from its result returns it again
-                keys += ((observations, fitted, num_levels),)
-            state._fit_memo = (keys, fitted)
-        temperature = fitted
+    observations = state.floor_observations
+    # dicts compare without regard to order, as the fit sorts its points
+    if observations and state._fit_memo != (observations, temperature, num_levels):
+        floors = np.array(list(observations))
+        if not (floors.min() >= 1 and floors.max() <= num_levels):
+            raise ValueError(f"observed floors must lie in [1, {num_levels}]")
+        if floors.dtype.kind not in "iu":  # 2.0 is no index
+            raise ValueError("observed floors must be integers")
+        energies = level_energies(num_levels)[floors - 1]
+        fit = fit_temperature(energies, list(observations.values()), temperature)
+        temperature = fit.temperature
+        state._fit_memo = ((dict(observations), temperature, num_levels)
+                           if fit.fixed_point else None)
     key = (temperature, num_levels, capacity_per_level, times)
     if state._plan_memo[0] != key:
         q = spot_occupancy_prob(level_energies(num_levels), temperature)

@@ -406,6 +406,19 @@ def test_digit_separator_or_non_ascii_digit_is_usage_error(tmp_path, capsys, arg
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--temperatures", "0.1,0_5"],
+     "argument --temperatures: invalid float list value: '0.1,0_5'"),
+    (["sample-curve", "lot.csv", "--sizes", "5,1_0"],
+     "argument --sizes: invalid int list value: '5,1_0'"),
+])
+def test_a_bad_list_flag_names_its_list_type(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out"}
 GARAGE_FLAGS = {"--num-levels", "--capacity-per-level"}
 RUN_FLAGS = set(RUN_ONLY_FLAGS)

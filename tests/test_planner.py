@@ -452,6 +452,17 @@ class TestPlanMemo:
         # fresh copy always fits
         assert calls["fit_temperature"] == (2 if fixed_point else 3)
 
+    def test_reordered_observations_still_hit_the_fixed_point(self, calls):
+        state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
+        plan_parking(state, 0, 10, 30, TIMES)  # a fit that ends on a fixed point
+        items = list(state.floor_observations.items())
+        state.floor_observations.clear()  # the same dict, filled in reverse order
+        state.floor_observations.update(reversed(items))
+        # the fit sorts its points, so the order cannot change its result:
+        # one fit and one solve for the fresh copy alone
+        assert_same_plan(state, fresh(state), 0, 10, 30, TIMES)
+        assert calls == Counter({"fit_temperature": 2, "solve_dp": 2})
+
     def test_direct_edit_of_observations_forces_a_refit(self, calls):
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0})
         plan_parking(state, 0, 10, 30, TIMES)
@@ -469,15 +480,17 @@ class TestPlanMemo:
         # solution is reused
         (2.0, (10, 30), TIMES, 3, 2),
         (0.5, (12, 30), TIMES, 3, 3),  # a new N refits: the energies change
-        (0.5, (10, 8), TIMES, 2, 3),
-        (0.5, (10, 30), TimeConstants(t1=60.0), 2, 3),
+        # the first plan's result hits the fixed-point fit; a new S or new
+        # times still miss the solution
+        (T_MAX, (10, 8), TIMES, 2, 3),
+        (T_MAX, (10, 30), TimeConstants(t1=60.0), 2, 3),
     ])
     def test_a_new_start_shape_or_times_misses(self, calls, start, shape, times, fits,
                                                solves):
         state = TippState(temperature_estimate=0.5, floor_observations={4: 1.0})
         plan_parking(state, 0, 10, 30, TIMES)
         assert state.temperature_estimate == T_MAX
-        state.temperature_estimate = start  # 0.5 is the first plan's start again
+        state.temperature_estimate = start
         assert_same_plan(state, fresh(state), 0, *shape, times)
         assert calls == Counter({"fit_temperature": fits, "solve_dp": solves})
 
@@ -517,7 +530,7 @@ class TestPlanMemo:
         used = TippState(floor_observations={2: 1.0})
         plan_parking(used, 0, 10, 30, TIMES)
         unused = fresh(used)
-        assert used._fit_memo[1] is not None and unused._fit_memo == ((), None)
+        assert used._fit_memo is not None and unused._fit_memo is None
         assert used == unused
         assert repr(used) == repr(unused) and "memo" not in repr(used)
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tipp import (
     write_outcomes_csv,
 )
 
+import tipp.planner
 from oracles import GridGarage, segment_accounting, tipp_sequence_replanned_fresh
 
 TIMES = TimeConstants()
@@ -407,6 +409,25 @@ class TestTippMemo:
         indices = [o.car_index for o in outcomes]  # a gap marks a turned-away car
         assert all(a < b for a, b in zip(indices, indices[1:]))
         assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
+
+    @pytest.mark.parametrize("n, s, temperatures, num_cars, fits, solves", [
+        (10, 30, tuple(k / 10 for k in range(1, 11)), 30, 386, 308),
+        (50, 200, (1.0,), 200, 233, 128),
+    ])
+    def test_memo_traffic_of_the_bench_runs(self, monkeypatch, n, s, temperatures,
+                                            num_cars, fits, solves):
+        # the tipp runs of the ref_sweep and large_closed_loop bench
+        # workloads at seed 0: a lost memo hit shows here as one more call
+        calls = Counter()
+        for name in ("fit_temperature", "solve_dp"):
+            def counting(*args, _name=name, _fn=getattr(tipp.planner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tipp.planner, name, counting)
+        for temperature in temperatures:
+            garage = Garage.from_temperature(n, s, temperature, seed=0)
+            run_policy_sequence(garage, PolicyKind.TIPP, num_cars, TIMES)
+        assert calls == Counter({"fit_temperature": fits, "solve_dp": solves})
 
 
 GARAGES = (st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8),
