@@ -311,7 +311,8 @@ def _add_garage_flags(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--num-cars", dest="num_cars", type=int)
     parser.add_argument("--departure-prob", dest="departure_prob", type=float)
-    parser.add_argument("--policies", help="comma-separated subset of benchmark,inverse,optimal,tipp")
+    parser.add_argument("--policies", help="comma-separated subset of "
+                        + ",".join(p.value for p in ALL_POLICIES))
     parser.add_argument("--t1", type=float, help="floor scan time, seconds")
     parser.add_argument("--t2", type=float, help="walk-up time per floor, seconds")
     parser.add_argument("--t3", type=float, help="drive-down time per floor, seconds")

@@ -213,14 +213,10 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
     energies, fills = _sorted_observations(energies, fills)
     t = float(initial_temperature)
     loss = _loss(t, energies, fills)
-    iterations = 0
-    stop_reason = "max_iterations"
-    fixed_point = False  # the cap is reached only by an accepted step
-    while iterations < _MAX_ITERATIONS:
+    for iterations in range(_MAX_ITERATIONS):  # each pass that goes on accepts one step
         d1, d2 = _loss_derivatives(t, energies, fills)
         if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
-            stop_reason, fixed_point = "pinned", True
-            break
+            return FitResult(t, loss, iterations, "pinned", fixed_point=True)
         # not -L' where L'' <= 0: that crawls through the flat hot region
         du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
         converged = abs(du) <= _RESOLUTION  # never true of the unit step
@@ -231,16 +227,14 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
             if cand_loss < loss or abs(du) <= _RESOLUTION:
                 break
             du *= 0.5
-        improved = cand_loss < loss
-        if improved:
-            t, loss = cand, cand_loss
-            iterations += 1
-        if converged or not improved:
-            stop_reason = "converged" if converged else "no_improving_step"
-            fixed_point = not improved
-            break
-    return FitResult(temperature=t, final_loss=loss, iterations=iterations,
-                     stop_reason=stop_reason, fixed_point=fixed_point)
+        if not cand_loss < loss:
+            return FitResult(t, loss, iterations,
+                             "converged" if converged else "no_improving_step",
+                             fixed_point=True)
+        t, loss = cand, cand_loss
+        if converged:
+            return FitResult(t, loss, iterations + 1, "converged")
+    return FitResult(t, loss, _MAX_ITERATIONS, "max_iterations")
 
 
 def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: int,
@@ -367,6 +361,7 @@ def load_survey(path) -> LotSurvey:
                     start = fh.tell()
                     spots = _bulk_spots(fh, start)
                     if spots is not None:
+                        xs, ys, occ = spots
                         break
                     fh.seek(start)
                 continue
@@ -385,14 +380,11 @@ def load_survey(path) -> LotSurvey:
             xs.append(x)
             ys.append(y)
             occ.append(flag == "1")
-        else:  # no break: the loop read every record
-            spots = np.array(xs), np.array(ys), np.array(occ)
     if poi is None:
         raise ValueError(f"{path}: missing 'poi,<x>,<y>' record")
-    x, y, occupied = spots
-    if len(x) < 2:
+    if len(xs) < 2:
         raise ValueError(f"{path}: survey needs at least 2 spots")
-    return LotSurvey(x=x, y=y, occupied=occupied, poi=poi)
+    return LotSurvey(x=xs, y=ys, occupied=occ, poi=poi)
 
 
 def save_survey(survey: LotSurvey, path) -> None:

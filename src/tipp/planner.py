@@ -188,11 +188,12 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     ValueError) in a garage of ``num_levels`` floors of
     ``capacity_per_level`` spots each.
 
-    If fills have been observed (on integer floors in [1, N]), the
-    temperature is refitted on {(E(k), fill_k)} from
-    ``state.temperature_estimate`` and, if the call succeeds, becomes the
-    new estimate; otherwise the estimate is kept.  The fit and q read the same floor energies,
-    ``level_energies(N)``, built only when a memo misses.
+    If fills have been observed, on floors in [1, N] that are Python
+    or NumPy integers (not bool), the temperature is refitted on
+    {(E(k), fill_k)} from ``state.temperature_estimate`` and, if the call
+    succeeds, becomes the new estimate; otherwise the estimate is kept.
+    The fit and q read the same floor energies, ``level_energies(N)``,
+    built only when a memo misses.
 
     The DP solution is kept on ``state`` keyed by (T, N, S, times), and
     a call with the same key reuses it.  A fit that ended on a fixed
@@ -201,7 +202,9 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     observations returns it again bit for bit, so the call that matches
     them keeps the estimate and fits nothing.  Either reuse is exactly
     what recomputing would give; a caller that edits
-    ``floor_observations`` gets a refit.
+    ``floor_observations`` gets a refit.  A fit-memo hit compares floors
+    by value and skips the miss's checks, so a key ``4.0`` (or ``True``)
+    put in place of a planned ``4`` (or ``1``) is served as that floor.
     """
     if num_levels < 1:  # the first error on every path, memo hit or miss
         raise ValueError("num_levels must be >= 1")
@@ -209,12 +212,12 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     observations = state.floor_observations
     # dicts compare without regard to order, as the fit sorts its points
     if observations and state._fit_memo != (observations, temperature, num_levels):
-        floors = np.array(list(observations))
-        if not (floors.min() >= 1 and floors.max() <= num_levels):
-            raise ValueError(f"observed floors must lie in [1, {num_levels}]")
-        if floors.dtype.kind not in "iu":  # 2.0 is no index
-            raise ValueError("observed floors must be integers")
-        energies = level_energies(num_levels)[floors - 1]
+        for floor in observations:  # each on its own: True is no index, 2.0 neither
+            if isinstance(floor, bool) or not isinstance(floor, (int, np.integer)):
+                raise ValueError("observed floors must be integers")
+            if not 1 <= floor <= num_levels:
+                raise ValueError(f"observed floors must lie in [1, {num_levels}]")
+        energies = level_energies(num_levels)[np.array(list(observations)) - 1]
         fit = fit_temperature(energies, list(observations.values()), temperature)
         temperature = fit.temperature
         state._fit_memo = ((dict(observations), temperature, num_levels)

@@ -167,8 +167,8 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
     else:
         state = tipp_state
         if state is None:
-            state = TippState(temperature_estimate=garage.init_temperature
-                              if garage.init_temperature is not None else 0.5)
+            state = (TippState() if garage.init_temperature is None
+                     else TippState(temperature_estimate=garage.init_temperature))
         floors = _tipp_floors(garage, times, state)
 
     scanned, spot = [], None

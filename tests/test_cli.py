@@ -100,6 +100,11 @@ class TestSimulate:
         ]
         assert main(["simulate", "--out", str(tmp_path / "ok"), "--num-cars", "6"]) == 0
         assert capsys.readouterr().err == ""
+        # a car turned away before later cars park: the gap in car_index names it
+        assert main(["simulate", "--out", str(tmp_path / "gap"), "--num-levels", "2",
+                     "--capacity-per-level", "3", "--temperature", "10", "--num-cars", "12",
+                     "--departure-prob", "0.2", "--policies", "optimal", "--seed", "0"]) == 3
+        assert capsys.readouterr().err == "policy optimal: car 0 turned away, garage full\n"
 
     def test_each_policy_runs_as_if_alone(self, tmp_path):
         # with departures every policy draws renewals from the garage's
@@ -117,10 +122,19 @@ class TestSimulate:
         code = main(["simulate", "--out", str(tmp_path / "x"), "--policies", "psychic"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+        assert main(["simulate", "--out", str(tmp_path / "x"), "--policies", ","]) == 2
+        assert capsys.readouterr().err == "error: at least one policy is required\n"
 
-    def test_invalid_temperature_is_usage_error(self, tmp_path):
+    def test_invalid_temperature_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path / "x"),
                      "--temperature", "99"]) == 2
+        # so are the scenario's other out-of-domain values
+        for flags, message in ((["--num-levels", "0"], "garage dimensions must be >= 1"),
+                               (["--num-cars", "0"], "num_cars must be >= 1")):
+            capsys.readouterr()
+            assert main(["simulate", "--out", str(tmp_path / "x"), *flags]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_repeated_policy_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -178,10 +192,14 @@ class TestConfigFile:
         assert main(["fit", "lot.csv", "--config", str(cfg)]) == 2
         assert "unknown config field 'fit'" in capsys.readouterr().err
 
-    def test_malformed_json_rejected(self, tmp_path):
+    def test_malformed_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        capsys.readouterr()
+        cfg.write_text("[]")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
 
     @pytest.mark.parametrize("data, field", [
         ({"times": 5}, "times"),

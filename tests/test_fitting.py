@@ -1,5 +1,7 @@
 
 import hashlib
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -232,6 +234,17 @@ class TestFitTemperature:
         assert again.temperature == moved.temperature
         assert replace(again, iterations=moved.iterations) == moved
         assert "fixed_point" not in repr(again)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_the_iteration_cap_stops_a_fit_that_keeps_improving(self, monkeypatch, cap):
+        energies, fills = noiseless_observations(0.5)
+        assert fit_temperature(energies, fills, 1.5).iterations > 2
+        monkeypatch.setattr(fitting, "_MAX_ITERATIONS", cap)
+        res = fit_temperature(energies, fills, 1.5)
+        assert res.stop_reason == "max_iterations"
+        assert res.iterations == cap
+        assert not res.fixed_point
+        assert res.final_loss == mse_loss(res.temperature, energies, fills)
 
     def test_final_loss_is_the_loss_at_the_returned_temperature(self):
         rng = np.random.default_rng(29)
@@ -483,6 +496,9 @@ class TestSurveyIO:
         path.write_text("poi,0,0\n1,0,1\n2,zero,0\n")
         with pytest.raises(ValueError, match=":3"):
             load_survey(path)
+        path.write_text("# lot\npoi,a,b\n1,0,1\n2,0,0\n")
+        with pytest.raises(ValueError, match="lot.csv:2: malformed POI coordinates"):
+            load_survey(path)
 
     def test_bad_occupancy_flag_reports_line_number(self, tmp_path):
         path = tmp_path / "lot.csv"
@@ -495,6 +511,12 @@ class TestSurveyIO:
         path.write_text("poi,0,0\n1,0,1\n")
         with pytest.raises(ValueError, match="at least 2"):
             load_survey(path)
+        with pytest.raises(ValueError, match="survey needs at least 2 spots"):
+            LotSurvey(x=[1.0], y=[0.0], occupied=[True], poi=(0.0, 0.0))
+        with pytest.raises(ValueError, match="num_spots must be >= 2"):
+            synthetic_survey(1, 0.5, 0)
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            LotSurvey(x=[1.0, 2.0], y=[0.0], occupied=[True, False], poi=(0.0, 0.0))
 
     @pytest.mark.parametrize("text, line", [
         ("poi,0,0\n1,0,1\nnan,0,0\n", 3),
@@ -570,6 +592,26 @@ class TestSurveyIO:
                     assert array.tobytes() == getattr(survey, name).tobytes()
         assert accepted == [True] * 4
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_by_the_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "lot.csv"
+        save_survey(synthetic_survey(50, 0.5, seed=3), path)
+        expected = load_survey(path)
+        # a pipe cannot seek back to the records after a failed bulk parse
+        monkeypatch.setattr(fitting, "_bulk_spots",
+                            lambda fh, start: pytest.fail("bulk parse of a pipe"))
+        pipe = tmp_path / "lot.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)  # open() blocks until a reader opens
+        writer.start()
+        piped = load_survey(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        for name in ("x", "y", "occupied"):
+            assert getattr(piped, name).tobytes() == getattr(expected, name).tobytes()
+        assert piped.poi == expected.poi
+
     def test_save_survey_pins_its_bytes(self, tmp_path):
         # signed zeros, subnormals and the largest float, as first written
         survey = LotSurvey(x=[-0.0, 5e-324, 0.1, 1 / 3, 1e16, -1.7976931348623157e308],
@@ -608,6 +650,8 @@ class TestSurveyIO:
     def test_rejects_a_non_finite_point_of_interest(self, bad):
         with pytest.raises(ValueError, match="point of interest must be finite"):
             LotSurvey(x=[1.0, 2.0], y=[0.0, 0.0], occupied=[True, False], poi=(bad, 0.0))
+        with pytest.raises(ValueError, match="spot coordinates must be finite"):
+            LotSurvey(x=[1.0, 2.0], y=[0.0, bad], occupied=[True, False], poi=(0.0, 0.0))
 
 
 class TestSyntheticSurvey:

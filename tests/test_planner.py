@@ -71,6 +71,9 @@ class TestSolveDp:
         assert sol.value(1) == 62.5
         assert sol.action(0) == 2
         assert sol.entrance_value == 60.0
+        for floor in (0, 3):
+            with pytest.raises(ValueError, match=rf"floor {floor} outside \[1, 2\]"):
+                sol.value(floor)
 
     def test_two_floor_worked_example_high_availability(self):
         sol = solve_dp([0.9, 0.7], TIMES)
@@ -248,9 +251,10 @@ class TestObserveFloor:
         with pytest.raises(ValueError, match=r"observed floors must lie in \[1, 10\]"):
             plan_parking(state, 0, 10, 30, TIMES)
 
-    @pytest.mark.parametrize("floor", [1.5, 2.0])
+    @pytest.mark.parametrize("floor", [1.5, 2.0, True])
     def test_rejects_a_floor_that_is_not_an_integer(self, floor):
-        # a float, even 2.0, is no index into the floor energies
+        # a float, even 2.0, is no index into the floor energies, nor is
+        # True, whatever the other floors are
         with pytest.raises(ValueError, match="observed floors must be integers"):
             plan_parking(TippState(floor_observations={floor: 0.5}), 0, 10, 30, TIMES)
         state = TippState(floor_observations={3: 1.0})

@@ -82,6 +82,8 @@ class TestInitFromTemperature:
             Garage.from_temperature(0, 30, 0.5)
         with pytest.raises(ValueError):
             Garage.from_temperature(10, 30, 0.0)
+        with pytest.raises(ValueError, match="occupancy must be a 2-D grid"):
+            Garage.from_occupancy([True, False])
 
 
 class TestScanAndPark:
@@ -320,6 +322,8 @@ class TestRunPolicySequence:
         with pytest.raises(ValueError, match="departure_prob"):
             run_policy_sequence(garage, PolicyKind.BENCHMARK, 3, TIMES,
                                 departure_prob=departure_prob)
+        with pytest.raises(ValueError, match="num_cars must be >= 1"):
+            run_policy_sequence(garage, PolicyKind.BENCHMARK, 0, TIMES)
         np.testing.assert_array_equal(garage.occupancy, before)
 
     @pytest.mark.parametrize("temperature, totals", [
