@@ -155,30 +155,26 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
 def mse_loss(temperature: float, energies, fills) -> float:
     """Mean squared error between model occupancy and observed fills."""
     _check_temperature(temperature, "temperature")
-    return _loss(temperature, *_sorted_observations(energies, fills))
+    return _evaluate(temperature, *_sorted_observations(energies, fills))[0]
 
 
-def _loss(t, energies, fills) -> float:
-    # the kernel itself on one buffer, not spot_occupancy_prob: the
-    # observations are validated and sorted, and this runs per trial step.
-    # The sum and the division are np.mean's, without its call overhead.
-    r = energies / t
-    _q(r, out=r)
-    r -= fills
-    r *= r
-    return float(np.add.reduce(r)) / r.size
-
-
-def _loss_derivatives(t, energies, fills) -> tuple[float, float]:
-    """L' and L'' in u = log T at T = ``t``, on four n-sized buffers.
-
-    x is capped at 700 like the kernel's, so q * x and every other term
-    stay finite for any finite energy (E/T itself may overflow first).
-    """
+def _evaluate(t, energies, fills):
+    """``(loss, (x, q, r))`` at T = ``t``: x = E/T capped at 700, q and
+    r = q - fill are the n-sized buffers ``_loss_derivatives`` reads.  The
+    kernel itself, not spot_occupancy_prob, on checked observations; the
+    sum and the division are np.mean's, without its call overhead."""
     x = np.divide(energies, t)
     np.minimum(x, 700.0, out=x)
     q = _q(x, out=np.empty_like(x))
     r = q - fills
+    return float(np.add.reduce(r * r)) / r.size, (x, q, r)
+
+
+def _loss_derivatives(x, q, r) -> tuple[float, float]:
+    """L' and L'' in u = log T from ``_evaluate``'s buffers at T, which it
+    overwrites, and one more n-sized buffer.  x is capped at 700 like the
+    kernel's, so q * x and every other term stay finite for any finite
+    energy (E/T itself may overflow first)."""
     dq = q * -0.5
     dq += 1.0
     dq *= q
@@ -190,8 +186,7 @@ def _loss_derivatives(t, energies, fills) -> tuple[float, float]:
     q += dq
     q *= dq  # (dq/du)**2 + r d2q/du2
     r *= dq
-    n = r.size
-    return 2.0 * float(np.add.reduce(r)) / n, 2.0 * float(np.add.reduce(q)) / n
+    return 2.0 * float(np.add.reduce(r)) / r.size, 2.0 * float(np.add.reduce(q)) / r.size
 
 
 def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitResult:
@@ -212,9 +207,9 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
     _check_temperature(initial_temperature, "initial_temperature")
     energies, fills = _sorted_observations(energies, fills)
     t = float(initial_temperature)
-    loss = _loss(t, energies, fills)
+    loss, bufs = _evaluate(t, energies, fills)
     for iterations in range(_MAX_ITERATIONS):  # each pass that goes on accepts one step
-        d1, d2 = _loss_derivatives(t, energies, fills)
+        d1, d2 = _loss_derivatives(*bufs)
         if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
             return FitResult(t, loss, iterations, "pinned", fixed_point=True)
         # not -L' where L'' <= 0: that crawls through the flat hot region
@@ -223,7 +218,8 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
         du = min(max(du, -1.0), 1.0)
         while True:
             cand = min(max(t * math.exp(du), T_MIN), T_MAX)
-            cand_loss = _loss(cand, energies, fills)
+            bufs = None  # spent: dropped first, so at most four n-sized buffers live
+            cand_loss, bufs = _evaluate(cand, energies, fills)
             if cand_loss < loss or abs(du) <= _RESOLUTION:
                 break
             du *= 0.5
@@ -265,7 +261,7 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
             rng = np.random.default_rng([seed, size, trial])
             idx = rng.choice(n, size=size, replace=False)
             fit = fit_temperature(energies[idx], fills[idx], initial_temperature)
-            losses[trial] = _loss(fit.temperature, *scored)
+            losses[trial] = _evaluate(fit.temperature, *scored)[0]
         points.append(
             SampleEfficiencyPoint(size, float(losses.mean()), float(losses.std()))
         )

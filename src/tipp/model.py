@@ -25,7 +25,6 @@ to this domain, and every other reader rejects a temperature outside it.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -86,17 +85,16 @@ def level_energies(num_levels: int) -> np.ndarray:
 
 
 def level_fill_count(q: float, capacity: int) -> int:
-    """Occupied-spot count for a floor: q * capacity rounded half-up.
-
-    The rounding is done in exact rational arithmetic so that .5 ties
-    resolve identically on every platform.  As q lies in [0, 1] the
-    count lies in [0, capacity].
-    """
+    """Occupied-spot count for a floor: q * capacity rounded half-up, in
+    exact integers on q's ratio n/d, (2 n capacity + d) // 2d, so that .5
+    ties resolve identically on every platform.  As q lies in [0, 1] the
+    count lies in [0, capacity]."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    return math.floor(Fraction(float(q)) * capacity + Fraction(1, 2))
+    n, d = float(q).as_integer_ratio()
+    return (2 * n * int(capacity) + d) // (2 * d)
 
 
 def level_availability_prob(q, capacity: int):

@@ -155,6 +155,12 @@ def _scan_and_drive_time(floors, times: TimeConstants) -> float:
     return len(floors) * times.t1 + driven * times.t3
 
 
+def _check_floor_type(floor) -> None:
+    """An observed floor is a Python or NumPy integer, and no bool."""
+    if isinstance(floor, bool) or not isinstance(floor, (int, np.integer)):
+        raise ValueError("observed floors must be integers")
+
+
 @dataclass
 class TippState:
     """Closed-loop policy memory, carried from car to car and updated in place.
@@ -175,6 +181,7 @@ class TippState:
     def __post_init__(self):
         _check_temperature(self.temperature_estimate, "temperature_estimate")
         for floor, fill in self.floor_observations.items():
+            _check_floor_type(floor)
             if floor < 1:
                 raise ValueError("observed floors must be >= 1")
             if not 0.0 <= fill <= 1.0:
@@ -213,8 +220,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     # dicts compare without regard to order, as the fit sorts its points
     if observations and state._fit_memo != (observations, temperature, num_levels):
         for floor in observations:  # each on its own: True is no index, 2.0 neither
-            if isinstance(floor, bool) or not isinstance(floor, (int, np.integer)):
-                raise ValueError("observed floors must be integers")
+            _check_floor_type(floor)
             if not 1 <= floor <= num_levels:
                 raise ValueError(f"observed floors must lie in [1, {num_levels}]")
         energies = level_energies(num_levels)[np.array(list(observations)) - 1]

@@ -9,11 +9,15 @@ accounting, the tipp closed loop via plans that each start from a
 fresh copy of the policy memory, so no memo carries over, the
 garage via a bool grid alone, with no per-floor counts, and the sorted
 observations via one two-key lexsort, and the survey reader via its
-line loop alone.  Also here: a gridded survey, whose spot energies tie.
+line loop alone, the Newton fit via its two-kernel form, which
+computes q once for the loss and again for the derivatives, and the
+floor fill count via ``fractions``.  Also here: a gridded survey, whose
+spot energies tie.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,6 +29,8 @@ from tipp import (
     plan_parking,
     spot_occupancy_prob,
 )
+from tipp.fitting import _RESOLUTION, FitResult, _sorted_observations
+from tipp.model import T_MAX, T_MIN, _q
 
 
 def q_reference(energy, temperature, k=1.0):
@@ -160,6 +166,70 @@ def descent_fit_reference(energies, fills, start):
         else:
             break
     return t, loss
+
+
+def _two_kernel_loss(t, energies, fills):
+    r = energies / t
+    _q(r, out=r)
+    r -= fills
+    r *= r
+    return float(np.add.reduce(r)) / r.size
+
+
+def _two_kernel_derivatives(t, energies, fills):
+    x = np.divide(energies, t)
+    np.minimum(x, 700.0, out=x)
+    q = _q(x, out=np.empty_like(x))
+    r = q - fills
+    dq = q * -0.5
+    dq += 1.0
+    dq *= q
+    dq *= x
+    np.subtract(1.0, q, out=q)
+    q *= x
+    q -= 1.0
+    q *= r
+    q += dq
+    q *= dq
+    r *= dq
+    n = r.size
+    return 2.0 * float(np.add.reduce(r)) / n, 2.0 * float(np.add.reduce(q)) / n
+
+
+def fit_two_kernel_reference(energies, fills, initial_temperature, max_iterations):
+    """The safeguarded Newton fit with the loss and its derivatives as two
+    kernels, each computing q from the energies itself: the loss once per
+    line-search candidate, the derivatives once per Newton step, so q is
+    computed twice at every accepted temperature.  Returns a FitResult."""
+    energies, fills = _sorted_observations(energies, fills)
+    t = float(initial_temperature)
+    loss = _two_kernel_loss(t, energies, fills)
+    for iterations in range(max_iterations):
+        d1, d2 = _two_kernel_derivatives(t, energies, fills)
+        if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
+            return FitResult(t, loss, iterations, "pinned", fixed_point=True)
+        du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
+        converged = abs(du) <= _RESOLUTION
+        du = min(max(du, -1.0), 1.0)
+        while True:
+            cand = min(max(t * math.exp(du), T_MIN), T_MAX)
+            cand_loss = _two_kernel_loss(cand, energies, fills)
+            if cand_loss < loss or abs(du) <= _RESOLUTION:
+                break
+            du *= 0.5
+        if not cand_loss < loss:
+            return FitResult(t, loss, iterations,
+                             "converged" if converged else "no_improving_step",
+                             fixed_point=True)
+        t, loss = cand, cand_loss
+        if converged:
+            return FitResult(t, loss, iterations + 1, "converged")
+    return FitResult(t, loss, max_iterations, "max_iterations")
+
+
+def level_fill_count_reference(q, capacity):
+    """q * capacity rounded half up, in exact rationals."""
+    return math.floor(Fraction(float(q)) * capacity + Fraction(1, 2))
 
 
 def expected_itinerary_time(itinerary, availability, t1, t2, t3):

@@ -2,6 +2,7 @@
 import hashlib
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,12 +25,13 @@ from tipp import (
     synthetic_survey,
 )
 from tipp import fitting
-from tipp.fitting import _loss, _loss_derivatives, _sorted_observations
+from tipp.fitting import _evaluate, _loss_derivatives, _sorted_observations
 from tipp.model import _ENERGY_CAP
 
 from oracles import (
     central_difference,
     descent_fit_reference,
+    fit_two_kernel_reference,
     grid_search_temperature,
     grid_survey,
     load_survey_reference,
@@ -46,6 +48,11 @@ def noiseless_observations(t_star, energies=None):
         energies = np.arange(1, 11) / 10.0
     energies = np.asarray(energies, dtype=float)
     return energies, spot_occupancy_prob(energies, t_star)
+
+
+def derivatives_at(t, energies, fills):
+    """L' and L'' at ``t`` from the buffers of one evaluation there."""
+    return _loss_derivatives(*_evaluate(t, *_sorted_observations(energies, fills))[1])
 
 
 def square_survey(occupied):
@@ -117,7 +124,7 @@ class TestGradient:
             energies = rng.uniform(0.0, 1.5, m)
             fills = rng.uniform(0.0, 1.0, m)
             t = float(rng.uniform(0.05, 8.0))
-            d1, d2 = _loss_derivatives(t, *_sorted_observations(energies, fills))
+            d1, d2 = derivatives_at(t, energies, fills)
 
             def loss(u):
                 return mse_loss(np.exp(u), energies, fills)
@@ -294,7 +301,7 @@ class TestFitTemperature:
         res = fit_temperature(energies, fills, start)
         start_loss = mse_loss(start, energies, fills)
         for t in (start, res.temperature):
-            d1, d2 = _loss_derivatives(t, *_sorted_observations(energies, fills))
+            d1, d2 = derivatives_at(t, energies, fills)
             assert np.isfinite(d1) and np.isfinite(d2)
         assert np.isfinite(res.final_loss)
         assert res.final_loss <= start_loss
@@ -389,8 +396,69 @@ class TestSortedObservations:
         if not (np.signbit(energies).any() or np.signbit(fills).any()):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, ref))
         # where a signed zero moves, the loss and its derivatives do not
-        assert repr(_loss(t, *got)) == repr(_loss(t, *ref))
-        assert repr(_loss_derivatives(t, *got)) == repr(_loss_derivatives(t, *ref))
+        assert repr(_evaluate(t, *got)[0]) == repr(_evaluate(t, *ref)[0])
+        assert repr(_loss_derivatives(*_evaluate(t, *got)[1])) == \
+            repr(_loss_derivatives(*_evaluate(t, *ref)[1]))
+
+
+class TestOneEvaluationPerTemperature:
+    """The fit evaluates each temperature it visits once: the loss and the
+    next Newton step's derivatives read the same q.  It returns, bit for
+    bit, what the two-kernel fit returns, which computes q once for the
+    loss and again for the derivatives."""
+
+    @staticmethod
+    def assert_matches_reference(energies, fills, start, cap):
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:
+                mp.setattr(fitting, "_MAX_ITERATIONS", cap)
+            got = fit_temperature(energies, fills, start)
+            ref = fit_two_kernel_reference(energies, fills, start, fitting._MAX_ITERATIONS)
+        assert repr(got) == repr(ref)
+        assert got.fixed_point == ref.fixed_point
+        return got
+
+    @given(st.lists(
+        st.tuples(st.one_of(st.sampled_from(ENERGY_POOL), st.floats(min_value=0.0, max_value=4.0)),
+                  st.one_of(st.sampled_from(FILL_POOL), st.floats(min_value=0.0, max_value=1.0))),
+        min_size=1, max_size=30),
+        st.one_of(st.sampled_from([T_MIN, T_MAX]), st.floats(min_value=T_MIN, max_value=T_MAX)),
+        st.sampled_from([None, 0, 1, 2, 3]))
+    @example([(0.1, 1.0), (0.5, 1.0), (1.0, 1.0)], 0.5, None)  # pinned at T_MAX
+    @example([(0.01, 0.0), (0.05, 0.0), (0.1, 0.0)], 0.5, None)  # pinned at T_MIN
+    @example([(0.5, 1.0)], T_MAX, None)  # pinned at the start
+    @example([(1e300, 0.0), (2 * _ENERGY_CAP, 1.0), (0.5, 0.5)], 0.5, None)
+    @example([(0.0, 0.0), (-0.0, -0.0), (0.0, 1.0), (0.25, 0.5), (0.25, -0.0)], 0.5, None)
+    @example([(0.64, 0.4)], 0.5, None)  # n = 1
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_kernel_reference(self, pairs, start, cap):
+        energies, fills = np.array(pairs).T
+        self.assert_matches_reference(energies, fills, start, cap)
+
+    def test_every_stop_matches_the_two_kernel_reference(self):
+        rng = np.random.default_rng(31)
+        stops = set()
+        for _ in range(400):
+            m = int(rng.integers(1, 12))
+            energies = rng.choice(ENERGY_POOL + list(rng.uniform(0, 2, 4)), m)
+            fills = rng.choice(FILL_POOL + list(rng.uniform(0, 1, 4)), m)
+            start = float(rng.choice([T_MIN, T_MAX, rng.uniform(T_MIN, T_MAX)]))
+            cap = rng.choice([None, 0, 1, 2, 3])
+            stops.add(self.assert_matches_reference(energies, fills, start, cap).stop_reason)
+        assert stops == {"converged", "pinned", "no_improving_step", "max_iterations"}
+
+    def test_peak_memory_is_six_observation_buffers(self):
+        # the sorted energies and fills, then four n-sized buffers at once:
+        # a candidate is evaluated only after the spent buffers are dropped
+        energies, fills = survey_to_observations(synthetic_survey(100_000, 0.5, seed=0))
+        tracemalloc.start()
+        try:
+            res = fit_temperature(energies, fills, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations > 0  # candidates were evaluated after derivatives
+        assert peak <= 6 * 8 * energies.size + 64 * 1024
 
 
 class TestSampleEfficiencyCurve:

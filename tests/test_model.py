@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tipp import (
@@ -18,7 +18,7 @@ from tipp import (
     spot_occupancy_prob,
 )
 
-from oracles import q_reference
+from oracles import level_fill_count_reference, q_reference
 
 # High-precision evaluations of the closed form, frozen for regression.
 Q_E1_T05 = 0.23840584404423512
@@ -204,6 +204,23 @@ class TestLevelFillCount:
         assert 0 <= count <= capacity
         # exact rational check of |count/S - q| <= 1/(2S)
         assert abs(Fraction(count, capacity) - Fraction(q)) <= Fraction(1, 2 * capacity)
+
+    @given(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                     st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.375, 2.0**-30, 5e-324, 1 - 2.0**-53])),
+           st.one_of(st.integers(min_value=1, max_value=5000), st.sampled_from([1, 3, 7, 2**40 + 1])),
+           st.booleans())
+    # exact halves: 0.5 of an odd floor, 0.25 of one of 2 mod 4 spots
+    @example(0.5, 1, False)
+    @example(0.5, 29, True)
+    @example(0.5, 2**40 + 1, True)
+    @example(0.25, 30, False)
+    @example(0.0, 30, False)
+    @example(1.0, 30, True)
+    @settings(max_examples=400)
+    def test_matches_the_fraction_reference(self, q, capacity, numpy_capacity):
+        count = level_fill_count(q, np.int64(capacity) if numpy_capacity else capacity)
+        assert type(count) is int
+        assert count == level_fill_count_reference(q, capacity)
 
 
 class TestLevelAvailabilityProb:

@@ -226,6 +226,8 @@ class TestTippState:
         {"floor_observations": {0: 0.5}},
         {"floor_observations": {3: 1.5}},
         {"floor_observations": {2: -0.1}},
+        {"floor_observations": {"a": 0.5}},
+        {"floor_observations": {None: 0.5}},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
