@@ -75,6 +75,10 @@ class ScenarioConfig:
             raise ValueError("departure_prob must lie in [0, 1]")
         _check_temperature(self.temperature, "temperature")
         _check_temperature(self.initial_temperature, "initial_temperature")
+        t = self.times  # a car takes at most N (t1 + t2 + 2 t3): N floors each way
+        if self.num_cars * self.num_levels >= sys.float_info.max / (t.t1 + t.t2 + 2 * t.t3):
+            raise ValueError(f"times too large: {self.num_cars} cars on {self.num_levels} "
+                             "floors could take longer than a float holds")
 
 
 #: The JSON types a config value of each annotation may have, where they differ.

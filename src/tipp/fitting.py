@@ -27,7 +27,7 @@ lot).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +43,16 @@ _MAX_ITERATIONS = 10_000
 @dataclass(frozen=True)
 class FitResult:
     """A fitted temperature, the loss there, the accepted steps, and why
-    the fit stopped: ``"converged"`` (the Newton step fell below the
-    resolution), ``"pinned"`` (at a domain bound, the gradient pointing
-    outward), ``"no_improving_step"`` (no move down to the resolution
-    lowers the loss) or ``"max_iterations"``.
-
-    ``fixed_point`` is true when the last iteration accepted no step:
-    pinned, no improving step, or converged with its final step
-    rejected.  A fit started from ``temperature`` on the same
-    observations then recomputes the same loss, L' and L'' at the same
-    T and stops the same way, so it would return this temperature and
-    loss bit for bit.  It stays out of equality and repr."""
+    the fit stopped (see :func:`fit_temperature`): ``"converged"``,
+    ``"pinned"``, ``"no_improving_step"`` or ``"max_iterations"``.  A fit
+    ends where a restart from its result would end: unless the cap
+    stopped it, a fit from ``temperature`` on the same observations
+    returns this result bit for bit, with 0 iterations."""
 
     temperature: float
     final_loss: float
     iterations: int
     stop_reason: str
-    fixed_point: bool = field(default=False, compare=False, repr=False)
 
     @property
     def clamped(self) -> bool:
@@ -195,14 +188,13 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
     Starts at ``initial_temperature``.  Each step is du = -L'/L'' where
     L'' > 0 and a unit step down the gradient elsewhere, capped at
     |du| <= 1 and halved until the loss strictly drops; the candidate is
-    T exp(du) clamped to [T_MIN, T_MAX].  The fit stops when the Newton
-    step is at most the resolution (converged; that last step is still
-    taken if it lowers the loss), when T is pinned at a bound with the
-    gradient pointing outward, when no halving down to the resolution
-    lowers the loss, or after the iteration cap; the result says which.
-    Every accepted step strictly lowers the loss, so the result never
-    scores worse than the start, and ``final_loss`` is the loss at the
-    returned temperature.
+    T exp(du) clamped to [T_MIN, T_MAX].  The fit stops at the first
+    iteration that accepts no step, the Newton step being within the
+    resolution (converged), T pinned at a bound with the gradient
+    pointing outward, or no halving down to the resolution lowering the
+    loss; else at the iteration cap.  The result says why.  Accepted
+    steps strictly lower the loss, so the result never scores worse than
+    the start, and ``final_loss`` is the loss at the returned temperature.
     """
     _check_temperature(initial_temperature, "initial_temperature")
     energies, fills = _sorted_observations(energies, fills)
@@ -211,7 +203,7 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
     for iterations in range(_MAX_ITERATIONS):  # each pass that goes on accepts one step
         d1, d2 = _loss_derivatives(*bufs)
         if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
-            return FitResult(t, loss, iterations, "pinned", fixed_point=True)
+            return FitResult(t, loss, iterations, "pinned")
         # not -L' where L'' <= 0: that crawls through the flat hot region
         du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
         converged = abs(du) <= _RESOLUTION  # never true of the unit step
@@ -225,11 +217,8 @@ def fit_temperature(energies, fills, initial_temperature: float = 0.5) -> FitRes
             du *= 0.5
         if not cand_loss < loss:
             return FitResult(t, loss, iterations,
-                             "converged" if converged else "no_improving_step",
-                             fixed_point=True)
+                             "converged" if converged else "no_improving_step")
         t, loss = cand, cand_loss
-        if converged:
-            return FitResult(t, loss, iterations + 1, "converged")
     return FitResult(t, loss, _MAX_ITERATIONS, "max_iterations")
 
 

@@ -42,6 +42,17 @@ def _check_temperature(value, name: str) -> None:
         raise ValueError(f"{name} {value} outside domain [{T_MIN}, {T_MAX}]")
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool is none."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(value, name: str) -> None:
+    """Reject a count of floors, spots or cars that is not an integer >= 1."""
+    if not (_is_integer(value) and value >= 1):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def _q(x, out=None):
     """q as a function of x = E / T, written into the array ``out`` when
     given.  Capping x at 700 keeps exp finite; q there is ~2e-304, below
@@ -79,8 +90,7 @@ def spot_occupancy_prob(energy, temperature: float):
 def level_energies(num_levels: int) -> np.ndarray:
     """Energies of all floors 1..N as an array, E(i) = (i/N)**2, floor 1
     nearest the entrance.  Every caller reads floor energies from here."""
-    if num_levels < 1:
-        raise ValueError("num_levels must be >= 1")
+    _check_count(num_levels, "num_levels")
     return (np.arange(1, num_levels + 1) / num_levels) ** 2
 
 
@@ -91,8 +101,7 @@ def level_fill_count(q: float, capacity: int) -> int:
     count lies in [0, capacity]."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
+    _check_count(capacity, "capacity")
     n, d = float(q).as_integer_ratio()
     return (2 * n * int(capacity) + d) // (2 * d)
 
@@ -103,8 +112,7 @@ def level_availability_prob(q, capacity: int):
     Spots are treated as independently occupied with probability ``q``,
     so availability is 1 - q**capacity.  ``q`` may be a scalar or array.
     """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
+    _check_count(capacity, "capacity")
     qa = np.asarray(q, dtype=float)
     if qa.size and not (qa.min() >= 0 and qa.max() <= 1):  # NaN fails both
         raise ValueError("q must lie in [0, 1]")

@@ -29,7 +29,9 @@ import numpy as np
 
 from .fitting import fit_temperature
 from .model import (
+    _check_count,
     _check_temperature,
+    _is_integer,
     level_availability_prob,
     level_energies,
     spot_occupancy_prob,
@@ -69,12 +71,12 @@ class DpSolution:
         return int(self.values.size)
 
     def value(self, floor: int) -> float:
-        if not 1 <= floor <= self.num_levels:
+        if not (_is_integer(floor) and 1 <= floor <= self.num_levels):
             raise ValueError(f"floor {floor} outside [1, {self.num_levels}]")
         return float(self.values[floor - 1])
 
     def action(self, floor: int) -> int:
-        if not 0 <= floor <= self.num_levels - 1:
+        if not (_is_integer(floor) and 0 <= floor <= self.num_levels - 1):
             raise ValueError(f"no action from floor {floor}")
         return int(self.actions[floor])
 
@@ -156,8 +158,7 @@ def _scan_and_drive_time(floors, times: TimeConstants) -> float:
 
 
 def _check_floor_type(floor) -> None:
-    """An observed floor is a Python or NumPy integer, and no bool."""
-    if isinstance(floor, bool) or not isinstance(floor, (int, np.integer)):
+    if not _is_integer(floor):
         raise ValueError("observed floors must be integers")
 
 
@@ -168,9 +169,9 @@ class TippState:
     ``temperature_estimate`` is the prior, then the latest fit, which
     ``plan_parking`` writes; ``floor_observations`` maps each floor
     scanned so far to the fill fraction last seen there.  ``plan_parking``
-    keeps its last DP solution here with the key it was solved for.  A
-    fit that ended on a fixed point leaves its observations, T and N
-    here too (else None).  Neither memo is an init field, shown or compared.
+    keeps its last DP solution here with the key it was solved for, and
+    its last fit's observations, T and N unless the fit stopped at the
+    cap (else None).  Neither memo is an init field, shown or compared.
     """
 
     temperature_estimate: float = 0.5
@@ -191,8 +192,8 @@ class TippState:
 def plan_parking(state: TippState, from_floor: int, num_levels: int,
                  capacity_per_level: int, times: TimeConstants) -> int:
     """Refit, re-solve, and return u(from_floor), the floor to drive to
-    next from ``from_floor`` (0 = entrance, at most N - 1, else a
-    ValueError) in a garage of ``num_levels`` floors of
+    next from ``from_floor`` (an integer, 0 = entrance, at most N - 1,
+    else a ValueError) in a garage of ``num_levels`` floors of
     ``capacity_per_level`` spots each.
 
     If fills have been observed, on floors in [1, N] that are Python
@@ -203,18 +204,16 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     built only when a memo misses.
 
     The DP solution is kept on ``state`` keyed by (T, N, S, times), and
-    a call with the same key reuses it.  A fit that ended on a fixed
-    point (``FitResult.fixed_point``) leaves the observations, its
-    result and N on ``state``: a fit from that result on those
-    observations returns it again bit for bit, so the call that matches
-    them keeps the estimate and fits nothing.  Either reuse is exactly
-    what recomputing would give; a caller that edits
+    a call with the same key reuses it.  A fit ends where a restart from
+    its result would, so any fit but one stopped by the cap leaves the
+    observations, its result and N on ``state``, and the call that
+    matches them keeps the estimate and fits nothing.  Either reuse is
+    exactly what recomputing would give; a caller that edits
     ``floor_observations`` gets a refit.  A fit-memo hit compares floors
     by value and skips the miss's checks, so a key ``4.0`` (or ``True``)
     put in place of a planned ``4`` (or ``1``) is served as that floor.
     """
-    if num_levels < 1:  # the first error on every path, memo hit or miss
-        raise ValueError("num_levels must be >= 1")
+    _check_count(num_levels, "num_levels")  # the first error on every path, memo hit or miss
     temperature = state.temperature_estimate
     observations = state.floor_observations
     # dicts compare without regard to order, as the fit sorts its points
@@ -227,7 +226,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
         fit = fit_temperature(energies, list(observations.values()), temperature)
         temperature = fit.temperature
         state._fit_memo = ((dict(observations), temperature, num_levels)
-                           if fit.fixed_point else None)
+                           if fit.stop_reason != "max_iterations" else None)
     key = (temperature, num_levels, capacity_per_level, times)
     if state._plan_memo[0] != key:
         q = spot_occupancy_prob(level_energies(num_levels), temperature)

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import level_energies, level_fill_count, spot_occupancy_prob
+from .model import _check_count, level_energies, level_fill_count, spot_occupancy_prob
 from .planner import TimeConstants, TippState, _scan_and_drive_time, plan_parking, total_time
 
 
@@ -64,8 +64,8 @@ class Garage:
                  "init_temperature")
 
     def __init__(self, num_levels: int, capacity_per_level: int, seed: int = 0):
-        if num_levels < 1 or capacity_per_level < 1:
-            raise ValueError("garage dimensions must be >= 1")
+        _check_count(num_levels, "num_levels")
+        _check_count(capacity_per_level, "capacity_per_level")
         self.num_levels = int(num_levels)
         self.capacity_per_level = int(capacity_per_level)
         self.occupancy = np.zeros((num_levels, capacity_per_level), dtype=bool)
@@ -213,8 +213,7 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     car to car.  A positive ``departure_prob`` applies one renewal step
     after every car, a turned-away one too, so the run goes on.
     """
-    if num_cars < 1:
-        raise ValueError("num_cars must be >= 1")
+    _check_count(num_cars, "num_cars")
     if not 0.0 <= departure_prob <= 1.0:  # NaN fails too
         raise ValueError("departure_prob must lie in [0, 1]")
     policy = PolicyKind(policy)

@@ -10,13 +10,15 @@ fresh copy of the policy memory, so no memo carries over, the
 garage via a bool grid alone, with no per-floor counts, and the sorted
 observations via one two-key lexsort, and the survey reader via its
 line loop alone, the Newton fit via its two-kernel form, which
-computes q once for the loss and again for the derivatives, and the
-floor fill count via ``fractions``.  Also here: a gridded survey, whose
-spot energies tie.
+computes q once for the loss and again for the derivatives and may
+stop right after taking a step, and via that form restarted until a
+restart accepts no step, and the floor fill count via ``fractions``.
+Also here: a gridded survey, whose spot energies tie.
 """
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -207,7 +209,7 @@ def fit_two_kernel_reference(energies, fills, initial_temperature, max_iteration
     for iterations in range(max_iterations):
         d1, d2 = _two_kernel_derivatives(t, energies, fills)
         if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
-            return FitResult(t, loss, iterations, "pinned", fixed_point=True)
+            return FitResult(t, loss, iterations, "pinned")
         du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
         converged = abs(du) <= _RESOLUTION
         du = min(max(du, -1.0), 1.0)
@@ -219,12 +221,24 @@ def fit_two_kernel_reference(energies, fills, initial_temperature, max_iteration
             du *= 0.5
         if not cand_loss < loss:
             return FitResult(t, loss, iterations,
-                             "converged" if converged else "no_improving_step",
-                             fixed_point=True)
+                             "converged" if converged else "no_improving_step")
         t, loss = cand, cand_loss
         if converged:
             return FitResult(t, loss, iterations + 1, "converged")
     return FitResult(t, loss, max_iterations, "max_iterations")
+
+
+def fit_restarted_reference(energies, fills, initial_temperature, max_iterations):
+    """``fit_two_kernel_reference`` restarted from its own result until a
+    restart accepts no step, the restarts sharing one budget of
+    ``max_iterations`` accepted steps; the FitResult of the last restart,
+    with the iterations of all of them."""
+    res = fit_two_kernel_reference(energies, fills, initial_temperature, max_iterations)
+    total = res.iterations
+    while res.iterations:
+        res = fit_two_kernel_reference(energies, fills, res.temperature, max_iterations - total)
+        total += res.iterations
+    return replace(res, iterations=total)
 
 
 def level_fill_count_reference(q, capacity):

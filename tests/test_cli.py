@@ -331,6 +331,21 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb", [["simulate"], ["sweep", "--temperatures", "0.5"]])
+    def test_times_whose_total_can_overflow_are_usage_error(self, tmp_path, capsys, verb):
+        # a car takes at most N (t1 + t2 + 2 t3); 30 such cars on 10 floors
+        # overflow a float, even on policies that solve no DP
+        out = tmp_path / "o"
+        argv = [*verb, "--policies", "benchmark,optimal", "--out", str(out)]
+        assert main([*argv, "--t1", "1e308"]) == 2
+        assert capsys.readouterr().err == ("error: times too large: 30 cars on 10 floors "
+                                           "could take longer than a float holds\n")
+        assert not out.exists()
+        # times within the bound run, and every total they write is finite
+        assert main([*argv, "--t1", "1e305"]) == 0
+        for path in out.iterdir():
+            assert "inf" not in path.read_text().lower()
+
     def test_json_integer_config_gives_float_fields(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"temperature": 1, "departure_prob": 0,

@@ -31,6 +31,7 @@ from tipp.model import _ENERGY_CAP
 from oracles import (
     central_difference,
     descent_fit_reference,
+    fit_restarted_reference,
     fit_two_kernel_reference,
     grid_search_temperature,
     grid_survey,
@@ -41,6 +42,16 @@ from oracles import (
 
 # (1 - q(1, 0.5))**2 at high precision
 MSE_E1_FILL1_T05 = 0.580025658385974
+
+# a small pool makes ties common: -0.0 ties 0.0, and the energies above
+# the cap are clipped to it after the sort
+ENERGY_POOL = [0.0, -0.0, 0.25, 0.5, 1.0, 2 * _ENERGY_CAP, 1e300]
+FILL_POOL = [0.0, -0.0, 0.5, 1.0]
+POOLED_OBSERVATIONS = st.lists(
+    st.tuples(st.one_of(st.sampled_from(ENERGY_POOL), st.floats(min_value=0.0, max_value=4.0)),
+              st.one_of(st.sampled_from(FILL_POOL), st.floats(min_value=0.0, max_value=1.0))),
+    min_size=1, max_size=30)
+STARTS = st.one_of(st.sampled_from([T_MIN, T_MAX]), st.floats(min_value=T_MIN, max_value=T_MAX))
 
 
 def noiseless_observations(t_star, energies=None):
@@ -210,37 +221,35 @@ class TestFitTemperature:
         res = fit_temperature(energies, fills, start)
         assert res.final_loss <= mse_loss(start, energies, fills) + 1e-15
 
-    @given(st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=1.0),
-                  st.floats(min_value=0.0, max_value=1.0)),
-        min_size=1, max_size=50),
-        st.floats(min_value=T_MIN, max_value=T_MAX))
+    @given(POOLED_OBSERVATIONS, STARTS)
+    @example([(0.04000000000000001, 0.3)], 0.5)  # a sub-resolution step, then one more
     @settings(max_examples=200, deadline=None)
-    def test_a_fixed_point_restarts_to_itself(self, pairs, start):
-        # plan_parking answers the replan from a fixed point out of its
-        # memo, which is sound only if that refit returns the same bits
+    def test_every_stop_but_the_cap_restarts_to_itself(self, pairs, start):
+        # plan_parking answers the replan from any fit but a capped one out
+        # of its memo, which is sound only if that refit returns the same bits
         energies, fills = np.array(pairs).T
         res = fit_temperature(energies, fills, start)
-        if not res.fixed_point:
-            # pinned and no_improving_step stop before accepting a step
-            assert res.stop_reason in ("converged", "max_iterations")
-            return
+        assert res.stop_reason != "max_iterations"
         again = fit_temperature(energies, fills, res.temperature)
         assert again.temperature.hex() == res.temperature.hex()
         assert again.final_loss.hex() == res.final_loss.hex()
         assert (again.stop_reason, again.iterations) == (res.stop_reason, 0)
-        assert again.fixed_point
+        ref = fit_restarted_reference(energies, fills, start, fitting._MAX_ITERATIONS)
+        assert repr(res) == repr(ref)
 
-    def test_fixed_point_stays_out_of_equality_and_repr(self):
-        # a fit whose last step was accepted is no fixed point, even when
-        # its restart happens to return the same temperature
-        moved = fit_temperature([0.64], [0.4], 0.5)
-        again = fit_temperature([0.64], [0.4], moved.temperature)
-        assert (moved.stop_reason, moved.fixed_point) == ("converged", False)
-        assert (again.stop_reason, again.fixed_point) == ("converged", True)
-        assert again.temperature == moved.temperature
-        assert replace(again, iterations=moved.iterations) == moved
-        assert "fixed_point" not in repr(again)
+    def test_a_sub_resolution_step_goes_on_to_where_a_restart_ends(self):
+        # floor 2 of 10 filled to 0.3: the last Newton step is below the
+        # resolution and lowers the loss; a fit that stopped there moved
+        # T by an ulp on its restart, and now takes that step in one call
+        energies, fills = level_energies(10)[[1]], [0.3]
+        first = fit_two_kernel_reference(energies, fills, 0.5, fitting._MAX_ITERATIONS)
+        restart = fit_two_kernel_reference(energies, fills, first.temperature,
+                                           fitting._MAX_ITERATIONS)
+        assert (first.stop_reason, restart.stop_reason) == ("converged", "converged")
+        assert restart.iterations == 1 and restart.final_loss < first.final_loss
+        assert restart.temperature == np.nextafter(first.temperature, 0.0)
+        res = fit_temperature(energies, fills, 0.5)
+        assert repr(res) == repr(replace(restart, iterations=first.iterations + 1))
 
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_the_iteration_cap_stops_a_fit_that_keeps_improving(self, monkeypatch, cap):
@@ -250,8 +259,9 @@ class TestFitTemperature:
         res = fit_temperature(energies, fills, 1.5)
         assert res.stop_reason == "max_iterations"
         assert res.iterations == cap
-        assert not res.fixed_point
         assert res.final_loss == mse_loss(res.temperature, energies, fills)
+        monkeypatch.undo()  # a capped fit is no end: its restart accepts a step
+        assert fit_temperature(energies, fills, res.temperature).iterations > 0
 
     def test_final_loss_is_the_loss_at_the_returned_temperature(self):
         rng = np.random.default_rng(29)
@@ -374,12 +384,6 @@ class TestObservation:
             mse_loss(0.5, [0.5, 0.0, 1.0], fills)
 
 
-# a small pool makes ties common: -0.0 ties 0.0, and the energies above
-# the cap are clipped to it after the sort
-ENERGY_POOL = [0.0, -0.0, 0.25, 0.5, 1.0, 2 * _ENERGY_CAP, 1e300]
-FILL_POOL = [0.0, -0.0, 0.5, 1.0]
-
-
 class TestSortedObservations:
     @given(st.lists(
         st.tuples(st.one_of(st.sampled_from(ENERGY_POOL), st.floats(min_value=0.0, max_value=4.0)),
@@ -405,7 +409,8 @@ class TestOneEvaluationPerTemperature:
     """The fit evaluates each temperature it visits once: the loss and the
     next Newton step's derivatives read the same q.  It returns, bit for
     bit, what the two-kernel fit returns, which computes q once for the
-    loss and again for the derivatives."""
+    loss and again for the derivatives, once that fit is restarted from
+    its own result until a restart accepts no step."""
 
     @staticmethod
     def assert_matches_reference(energies, fills, start, cap):
@@ -413,23 +418,20 @@ class TestOneEvaluationPerTemperature:
             if cap is not None:
                 mp.setattr(fitting, "_MAX_ITERATIONS", cap)
             got = fit_temperature(energies, fills, start)
-            ref = fit_two_kernel_reference(energies, fills, start, fitting._MAX_ITERATIONS)
+            ref = fit_restarted_reference(energies, fills, start, fitting._MAX_ITERATIONS)
         assert repr(got) == repr(ref)
-        assert got.fixed_point == ref.fixed_point
+        if cap is not None and got.stop_reason == "max_iterations":
+            assert got.iterations == cap
         return got
 
-    @given(st.lists(
-        st.tuples(st.one_of(st.sampled_from(ENERGY_POOL), st.floats(min_value=0.0, max_value=4.0)),
-                  st.one_of(st.sampled_from(FILL_POOL), st.floats(min_value=0.0, max_value=1.0))),
-        min_size=1, max_size=30),
-        st.one_of(st.sampled_from([T_MIN, T_MAX]), st.floats(min_value=T_MIN, max_value=T_MAX)),
-        st.sampled_from([None, 0, 1, 2, 3]))
+    @given(POOLED_OBSERVATIONS, STARTS, st.sampled_from([None, 0, 1, 2, 3]))
     @example([(0.1, 1.0), (0.5, 1.0), (1.0, 1.0)], 0.5, None)  # pinned at T_MAX
     @example([(0.01, 0.0), (0.05, 0.0), (0.1, 0.0)], 0.5, None)  # pinned at T_MIN
     @example([(0.5, 1.0)], T_MAX, None)  # pinned at the start
     @example([(1e300, 0.0), (2 * _ENERGY_CAP, 1.0), (0.5, 0.5)], 0.5, None)
     @example([(0.0, 0.0), (-0.0, -0.0), (0.0, 1.0), (0.25, 0.5), (0.25, -0.0)], 0.5, None)
     @example([(0.64, 0.4)], 0.5, None)  # n = 1
+    @example([(0.04000000000000001, 0.3)], 0.5, None)  # the first fit stops after a step
     @settings(max_examples=300, deadline=None)
     def test_matches_the_two_kernel_reference(self, pairs, start, cap):
         energies, fills = np.array(pairs).T

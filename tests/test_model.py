@@ -196,6 +196,9 @@ class TestLevelFillCount:
             level_fill_count(1.1, 30)
         with pytest.raises(ValueError):
             level_fill_count(0.5, 0)
+        for capacity in (2.5, 3.0, True):  # a count of spots is an integer
+            with pytest.raises(ValueError, match="capacity must be >= 1 and an integer"):
+                level_fill_count(1.0, capacity)
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=1, max_value=5000))
     @settings(max_examples=400)
@@ -244,6 +247,9 @@ class TestLevelAvailabilityProb:
             level_availability_prob(float("nan"), 30)
         with pytest.raises(ValueError):
             level_availability_prob(0.5, 0)
+        for capacity in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="capacity must be >= 1 and an integer"):
+                level_availability_prob(0.5, capacity)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("where", [0, 2])

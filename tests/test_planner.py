@@ -18,6 +18,7 @@ from tipp import (
     total_time,
 )
 
+import tipp.fitting
 import tipp.planner
 from oracles import enumerate_best_itinerary, segment_accounting, solve_dp_reference
 
@@ -71,7 +72,7 @@ class TestSolveDp:
         assert sol.value(1) == 62.5
         assert sol.action(0) == 2
         assert sol.entrance_value == 60.0
-        for floor in (0, 3):
+        for floor in (0, 3, True, 1.0):  # True and 1.0 are no floor 1
             with pytest.raises(ValueError, match=rf"floor {floor} outside \[1, 2\]"):
                 sol.value(floor)
 
@@ -267,7 +268,7 @@ class TestObserveFloor:
 
 
 class TestTippDecide:
-    @pytest.mark.parametrize("num_levels, capacity", [(0, 30), (10, 0)])
+    @pytest.mark.parametrize("num_levels, capacity", [(0, 30), (10, 0), (10, 2.5)])
     def test_rejects_an_empty_garage_dimension(self, num_levels, capacity):
         with pytest.raises(ValueError, match="must be >= 1"):
             plan_parking(TippState(), 0, num_levels, capacity, TIMES)
@@ -301,7 +302,7 @@ class TestTippDecide:
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
         energies = level_energies(10)[[2, 6]]
         start = 0.5
-        for _ in range(3):  # a fit from 0.5, a fit from its result, then a memo hit
+        for _ in range(3):  # a fit from 0.5, then memo hits
             expected = fit_temperature(energies, [1.0, 0.9], start).temperature
             plan_parking(state, 0, 10, 30, TIMES)
             assert state.temperature_estimate == expected
@@ -328,7 +329,7 @@ class TestTippDecide:
 
     def test_exhausted_at_bottom(self):
         # no floor lies below the deepest one, so there is no plan from it
-        for from_floor in (10, 11):
+        for from_floor in (10, 11, True, 1.0):  # and no floor that is not an integer
             with pytest.raises(ValueError, match=f"no action from floor {from_floor}"):
                 plan_parking(TippState(temperature_estimate=0.5), from_floor, 10, 30, TIMES)
 
@@ -438,25 +439,31 @@ class TestPlanMemo:
         # the state hits both memos: one fit and one solve for each fresh copy
         assert calls == Counter({"fit_temperature": 4, "solve_dp": 4})
 
-    @pytest.mark.parametrize("observations, stop_reason, fixed_point", [
-        ({3: 1.0, 7: 0.9}, "converged", True),  # its final step was rejected
-        ({4: 1.0}, "pinned", True),
-        ({8: 0.4}, "converged", False),  # the refit returns the same T
-        ({2: 0.3}, "converged", False),  # the refit moves T by an ulp
+    @pytest.mark.parametrize("cap", [None, 1])
+    @pytest.mark.parametrize("observations, stop_reason", [
+        ({3: 1.0, 7: 0.9}, "converged"),
+        ({4: 1.0}, "pinned"),
+        ({8: 0.4}, "converged"),
+        ({2: 0.3}, "converged"),  # its last step was below the resolution
     ])
     def test_only_a_fixed_point_answers_the_replan_from_its_result(
-            self, calls, observations, stop_reason, fixed_point):
+            self, calls, monkeypatch, cap, observations, stop_reason):
+        # a fit ends on a fixed point, where a restart from its result
+        # would end, unless the cap stopped it
+        if cap is not None:
+            monkeypatch.setattr(tipp.fitting, "_MAX_ITERATIONS", cap)
+            stop_reason = "max_iterations"
         floors = list(observations)
         fit = fit_temperature(level_energies(10)[np.array(floors) - 1],
                               list(observations.values()), 0.5)
-        assert (fit.stop_reason, fit.fixed_point) == (stop_reason, fixed_point)
+        assert fit.stop_reason == stop_reason
         state = TippState(temperature_estimate=0.5, floor_observations=observations)
         plan_parking(state, 0, 10, 30, TIMES)
         assert state.temperature_estimate == fit.temperature
         assert_same_plan(state, fresh(state), 0, 10, 30, TIMES)
-        # the state refits only when its last fit accepted a step; the
-        # fresh copy always fits
-        assert calls["fit_temperature"] == (2 if fixed_point else 3)
+        # the state refits only after a fit the cap stopped; the fresh
+        # copy always fits
+        assert calls["fit_temperature"] == (3 if cap else 2)
 
     def test_reordered_observations_still_hit_the_fixed_point(self, calls):
         state = TippState(temperature_estimate=0.5, floor_observations={3: 1.0, 7: 0.9})
@@ -506,11 +513,10 @@ class TestPlanMemo:
         for _ in range(2):
             for state in (a, b):
                 assert_same_plan(state, fresh(state), 0, 10, 30, TIMES)
-        # each state fits twice, from 0.5 and then from its own fit, and
-        # keeps its entries across the other's plans: a's refit returns
-        # its T, so a solves once; b's moves by an ulp, so b solves again.
+        # each state fits and solves once, from 0.5, and keeps its entries
+        # across the other's plans, so its second plan hits both memos.
         # Every fresh copy fits and solves once.
-        assert calls == Counter({"fit_temperature": 8, "solve_dp": 7})
+        assert calls == Counter({"fit_temperature": 6, "solve_dp": 6})
         memos = (a._fit_memo, a._plan_memo)
         plan_parking(b, 3, 10, 30, TIMES)
         assert a._fit_memo is memos[0] and a._plan_memo is memos[1]

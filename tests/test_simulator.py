@@ -84,6 +84,10 @@ class TestInitFromTemperature:
             Garage.from_temperature(10, 30, 0.0)
         with pytest.raises(ValueError, match="occupancy must be a 2-D grid"):
             Garage.from_occupancy([True, False])
+        with pytest.raises(ValueError, match="capacity_per_level must be >= 1 and an integer"):
+            Garage(2, 2.5)
+        with pytest.raises(ValueError, match="num_levels must be >= 1 and an integer"):
+            Garage.from_temperature(2.0, 30, 0.5)
 
 
 class TestScanAndPark:
@@ -415,9 +419,9 @@ class TestTippMemo:
         assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
 
     @pytest.mark.parametrize("n, s, temperatures, num_cars, fits, solves", [
-        (10, 30, tuple(k / 10 for k in range(1, 11)), 30, 386, 308),
-        (50, 200, (1.0,), 200, 233, 128),
-    ])
+        (10, 30, tuple(k / 10 for k in range(1, 11)), 30, 290, 294),
+        (50, 200, (1.0,), 200, 199, 126),
+    ], ids=["ref_sweep", "large_closed_loop"])
     def test_memo_traffic_of_the_bench_runs(self, monkeypatch, n, s, temperatures,
                                             num_cars, fits, solves):
         # the tipp runs of the ref_sweep and large_closed_loop bench
