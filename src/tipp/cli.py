@@ -35,9 +35,9 @@ from .planner import TimeConstants
 from .simulator import (
     Garage,
     PolicyKind,
+    _run_lockstep,
     render_ppm,
     render_text,
-    run_policy_sequence,
     write_outcomes_csv,
 )
 
@@ -163,22 +163,22 @@ def build_config(args) -> ScenarioConfig:
 def _run_policies(config: ScenarioConfig):
     """Run every requested policy on its own copy of one initialized garage.
 
-    The garage is built once from (temperature, seed) and each policy
-    runs on a deep copy, random generator state included, so all
-    policies face the same starting state and the same renewal draws.
-    Each run is (policy, outcomes, total elapsed seconds, the first
-    unplaced car or None).
+    The garage is built once from (temperature, seed); the first policy
+    runs on it and each other policy on a deep copy.  The policies run in
+    lockstep, car by car, and after each car one renewal draw from the
+    built garage's generator vacates the same spots in every copy, so all
+    policies face the same starting state and the same departures.  Each
+    run is (policy, outcomes, total elapsed seconds, the first unplaced
+    car or None).
     """
-    template = Garage.from_temperature(config.num_levels, config.capacity_per_level,
-                                       config.temperature, config.seed)
-    runs = []
-    for policy in config.policies:
-        garage = copy.deepcopy(template)
-        outcomes = run_policy_sequence(garage, policy, config.num_cars, config.times,
-                                       departure_prob=config.departure_prob)
-        runs.append((policy, outcomes, sum((o.elapsed_time for o in outcomes), 0.0),
-                     _first_unplaced(outcomes, config.num_cars)))
-    return runs
+    garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
+                                     config.temperature, config.seed)
+    copies = [copy.deepcopy(garage) for _ in config.policies[1:]]
+    runs = _run_lockstep([garage, *copies], config.policies, config.num_cars, config.times,
+                         config.departure_prob)
+    return [(policy, outcomes, sum((o.elapsed_time for o in outcomes), 0.0),
+             _first_unplaced(outcomes, config.num_cars))
+            for policy, outcomes in zip(config.policies, runs)]
 
 
 def _first_unplaced(outcomes, num_cars: int) -> str | None:

@@ -31,7 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _ENERGY_CAP, T_MAX, T_MIN, _check_temperature, _q, spot_occupancy_prob
+from .model import (
+    _ENERGY_CAP,
+    T_MAX,
+    T_MIN,
+    _check_count,
+    _check_temperature,
+    _q,
+    spot_occupancy_prob,
+)
 
 #: Smallest move in u = log T the fit resolves: a Newton step no longer
 #: than this has converged, and the line search halves down to it.
@@ -232,8 +240,7 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
     order.  Reported per size: mean and standard deviation of the
     full-lot MSE of the subset fits, each started at ``initial_temperature``.
     """
-    if trials_per_size < 1:
-        raise ValueError("trials_per_size must be >= 1")
+    _check_count(trials_per_size, "trials_per_size")
     energies, fills = survey_to_observations(survey)
     n = len(energies)
     scored = _sorted_observations(energies, fills)

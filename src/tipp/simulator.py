@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import _check_count, level_energies, level_fill_count, spot_occupancy_prob
+from .model import _check_count, _is_integer, level_energies, level_fill_count, spot_occupancy_prob
 from .planner import TimeConstants, TippState, _scan_and_drive_time, plan_parking, total_time
 
 
@@ -57,9 +57,9 @@ class Garage:
     directly.
     """
 
-    # slots, not an instance dict: a deep copy (one per policy run) then
-    # keeps the attribute reads of the scan and renewal loops as fast as
-    # on a garage built directly
+    # slots, not an instance dict: a deep copy (one per extra policy of a
+    # lockstep run) then keeps the attribute reads of the scan and renewal
+    # loops as fast as on a garage built directly
     __slots__ = ("num_levels", "capacity_per_level", "occupancy", "free", "rng",
                  "init_temperature")
 
@@ -126,19 +126,31 @@ class Garage:
         self.free[floor - 1] -= 1
         return spot
 
-    def renewal_step(self, departure_prob: float) -> int:
-        """Vacate each occupied spot independently with the given probability."""
+    def renewal_step(self, departure_prob: float, copies=()) -> int:
+        """Vacate each occupied spot independently with the given probability.
+
+        One uniform draw per spot, from this garage's generator, decides
+        which spots empty.  The same draw empties them in ``copies``,
+        garages of this shape whose generators it leaves untouched.
+        Returns the number of spots vacated in this garage.
+        """
         if not 0.0 <= departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in [0, 1]")
-        draws = self.rng.random(self.occupancy.shape)
-        vacate = np.flatnonzero(self.occupancy & (draws < departure_prob))
+        leaving = self.rng.random(self.occupancy.shape) < departure_prob
+        for garage in copies:
+            garage._vacate(leaving)
+        return self._vacate(leaving)
+
+    def _vacate(self, leaving: np.ndarray) -> int:
+        vacate = np.flatnonzero(self.occupancy & leaving)
         self.occupancy.flat[vacate] = False
         self.free += np.bincount(vacate // self.capacity_per_level, minlength=self.num_levels)
         return int(vacate.size)
 
     def _check_floor(self, floor: int) -> None:
-        if not 1 <= floor <= self.num_levels:
-            raise ValueError(f"floor {floor} outside [1, {self.num_levels}]")
+        # a Python int, every caller's floor, skips the general integer check
+        if not ((type(floor) is int or _is_integer(floor)) and 1 <= floor <= self.num_levels):
+            raise ValueError(f"floor {floor!r} is not an integer in [1, {self.num_levels}]")
 
 
 def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None = None,
@@ -211,22 +223,39 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     the gap in ``car_index`` marks it.  The tipp policy's memory starts
     from the temperature the garage was built at and carries over from
     car to car.  A positive ``departure_prob`` applies one renewal step
-    after every car, a turned-away one too, so the run goes on.
+    after every car, a turned-away one too, so the run goes on.  This is
+    the one-policy case of :func:`_run_lockstep`.
+    """
+    return _run_lockstep([garage], [policy], num_cars, times, departure_prob)[0]
+
+
+def _run_lockstep(garages, policies, num_cars: int, times: TimeConstants | None = None,
+                  departure_prob: float = 0.0) -> list[list[ArrivalOutcome]]:
+    """Run ``policies[k]`` on ``garages[k]``, car by car, all in step.
+
+    Each car arrives under every policy in turn; then one renewal step,
+    drawn by ``garages[0]``, vacates the same spots in every garage.  So
+    policies started on copies of one garage meet the departures that
+    separate :func:`run_policy_sequence` runs would draw, each copy from
+    its own generator in the same state, while the draw is made once.
+    Returns each policy's outcomes.
     """
     _check_count(num_cars, "num_cars")
     if not 0.0 <= departure_prob <= 1.0:  # NaN fails too
         raise ValueError("departure_prob must lie in [0, 1]")
-    policy = PolicyKind(policy)
-    state = None
-    outcomes = []
+    runs = [(garage, PolicyKind(policy), [])
+            for garage, policy in zip(garages, policies, strict=True)]
+    states = [None] * len(runs)
+    drawer, copies = garages[0], garages[1:]
     for car in range(num_cars):
-        if garage.lowest_free_floor() is not None:
-            outcome, state = run_arrival(garage, policy, times, tipp_state=state,
-                                         car_index=car)
-            outcomes.append(outcome)
+        for k, (garage, policy, outcomes) in enumerate(runs):
+            if garage.lowest_free_floor() is not None:
+                outcome, states[k] = run_arrival(garage, policy, times, tipp_state=states[k],
+                                                 car_index=car)
+                outcomes.append(outcome)
         if departure_prob > 0.0:
-            garage.renewal_step(departure_prob)
-    return outcomes
+            drawer.renewal_step(departure_prob, copies)
+    return [outcomes for _, _, outcomes in runs]
 
 
 def render_text(garage: Garage) -> str:

@@ -107,8 +107,9 @@ class TestSimulate:
         assert capsys.readouterr().err == "policy optimal: car 0 turned away, garage full\n"
 
     def test_each_policy_runs_as_if_alone(self, tmp_path):
-        # with departures every policy draws renewals from the garage's
-        # generator, so policies sharing one garage or one generator differ
+        # with departures the policies run in lockstep on copies of one
+        # garage and share its renewal draws; each must meet the departures
+        # it meets when run alone
         flags = ["--num-levels", "20", "--capacity-per-level", "20", "--temperature", "0.5",
                  "--seed", "3", "--num-cars", "600", "--departure-prob", repr(1 / 277)]
         main(["simulate", "--out", str(tmp_path / "all"), *flags])
@@ -117,6 +118,23 @@ class TestSimulate:
             main(["simulate", "--out", str(alone), "--policies", policy, *flags])
             name = f"{policy}_percar.csv"
             assert (tmp_path / "all" / name).read_bytes() == (alone / name).read_bytes()
+
+    @pytest.mark.parametrize("departure_prob,steps", [(None, 0), ("0.1", 12)])
+    def test_one_renewal_draw_per_car_for_all_policies(self, tmp_path, monkeypatch,
+                                                       departure_prob, steps):
+        calls = []
+        renewal_step = tipp.Garage.renewal_step
+
+        def counting(garage, *args):
+            calls.append(garage)
+            return renewal_step(garage, *args)
+        monkeypatch.setattr(tipp.Garage, "renewal_step", counting)
+        argv = ["simulate", "--out", str(tmp_path / "run"), "--num-cars", "12",
+                "--policies", "benchmark,optimal,tipp"]
+        if departure_prob is not None:
+            argv += ["--departure-prob", departure_prob]
+        assert main(argv) == 0
+        assert len(calls) == steps and len({id(g) for g in calls}) <= 1
 
     def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path / "x"), "--policies", "psychic"])

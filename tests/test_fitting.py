@@ -494,6 +494,12 @@ class TestSampleEfficiencyCurve:
         with pytest.raises(ValueError):
             sample_efficiency_curve(survey, [5], trials_per_size=0, seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_requires_an_integer_trial_count(self, trials):
+        survey = synthetic_survey(40, 0.5, seed=3)
+        with pytest.raises(ValueError, match="trials_per_size must be >= 1 and an integer"):
+            sample_efficiency_curve(survey, [5], trials_per_size=trials, seed=0)
+
     def test_requires_a_sample_size(self):
         survey = synthetic_survey(40, 0.5, seed=3)
         with pytest.raises(ValueError, match="at least one sample size is required"):

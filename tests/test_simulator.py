@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -25,6 +27,8 @@ from tipp import (
 )
 
 import tipp.planner
+from tipp.cli import ScenarioConfig, _run_policies
+from tipp.simulator import _run_lockstep
 from oracles import GridGarage, segment_accounting, tipp_sequence_replanned_fresh
 
 TIMES = TimeConstants()
@@ -116,6 +120,17 @@ class TestScanAndPark:
             garage.scan_and_park(0)
         with pytest.raises(ValueError):
             garage.scan_and_park(3)
+
+    @pytest.mark.parametrize("call,floor", [
+        ("scan_and_park", True), ("scan_and_park", 1.0), ("level_fill_fraction", 1.5),
+        ("level_fill_fraction", np.float64(2.0)),
+    ])
+    def test_a_floor_that_is_no_integer_is_rejected(self, call, floor):
+        garage = Garage.from_temperature(3, 4, 0.5)
+        with pytest.raises(ValueError, match=re.escape(f"floor {floor!r} is not an integer "
+                                                       "in [1, 3]")):
+            getattr(garage, call)(floor)
+        assert garage.level_fill_fraction(np.int64(3)) == garage.level_fill_fraction(3)
 
 
 class TestRenewal:
@@ -505,6 +520,46 @@ class TestUnplacedCars:
                                    car_index=car)
             for floor, fill in state.floor_observations.items():
                 assert fill == garage.level_fill_fraction(floor), (car, floor)
+
+
+class TestLockstep:
+    """Policies run in lockstep against each run alone on its own copy."""
+
+    @given(*GARAGES, st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.integers(1, 3 * 12 * 8),
+           st.lists(st.sampled_from([PolicyKind.BENCHMARK, PolicyKind.INVERSE,
+                                     PolicyKind.OPTIMAL]), unique=True),
+           st.integers(min_value=0, max_value=3))
+    # a full garage turns cars away between departures
+    @example(3, 4, 10.0, 0, 0.5, 36, [PolicyKind.OPTIMAL, PolicyKind.BENCHMARK], 1)
+    @settings(max_examples=60, deadline=None)
+    def test_lockstep_equals_separate_runs(self, n, s, temperature, seed, departure_prob,
+                                           num_cars, others, tipp_at):
+        policies = [*others]
+        policies.insert(tipp_at, PolicyKind.TIPP)
+        # the oracle: each policy alone on a deep copy, generator included
+        template = Garage.from_temperature(n, s, temperature, seed=seed)
+        alone = [copy.deepcopy(template) for _ in policies]
+        expected = [run_policy_sequence(garage, policy, num_cars, TIMES, departure_prob)
+                    for garage, policy in zip(alone, policies)]
+        garages = [copy.deepcopy(template) for _ in policies]
+        assert _run_lockstep(garages, policies, num_cars, TIMES, departure_prob) == expected
+        for garage, reference in zip(garages, alone):
+            assert garage.occupancy.tobytes() == reference.occupancy.tobytes()
+            np.testing.assert_array_equal(garage.free, reference.free)
+        config = ScenarioConfig(num_levels=n, capacity_per_level=s, temperature=temperature,
+                                num_cars=num_cars, times=TIMES, policies=tuple(policies),
+                                seed=seed, departure_prob=departure_prob)
+        assert [run[1] for run in _run_policies(config)] == expected
+
+    def test_copies_vacate_what_the_drawing_garage_draws(self):
+        full = np.ones((3, 4), dtype=bool)
+        garage, copies = Garage.from_occupancy(full, seed=2), [Garage.from_occupancy(full)]
+        copies.append(Garage.from_occupancy(np.zeros((3, 4), dtype=bool)))
+        alone = Garage.from_occupancy(full, seed=2)
+        assert garage.renewal_step(0.5, copies) == alone.renewal_step(0.5) > 0
+        assert copies[0].occupancy.tobytes() == alone.occupancy.tobytes()
+        np.testing.assert_array_equal(copies[0].free, alone.free)
+        assert not copies[1].occupancy.any() and list(copies[1].free) == [4, 4, 4]
 
 
 @st.composite
