@@ -13,7 +13,8 @@ s = q (1 - q/2) and r = q - fill, the analytic derivatives are
     L'      = mean(2 r dq/du)
     L''     = mean(2 (dq/du)**2 + 2 r d2q/du2)
 
-(verified against central finite differences in the test suite).  Each
+(verified against central finite differences in the test suite), with
+dq/du taken as 0 where q rounds to 1 and the loss is flat in T.  Each
 step moves u by -L'/L'' where L'' > 0 and by one unit down the gradient
 elsewhere, at most one unit either way, and halves the move until the
 loss strictly drops; T is clamped to [T_MIN, T_MAX].  The starting
@@ -27,6 +28,7 @@ lot).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,11 +177,17 @@ def _loss_derivatives(x, q, r) -> tuple[float, float]:
     """L' and L'' in u = log T from ``_evaluate``'s buffers at T, which it
     overwrites, and one more n-sized buffer.  x is capped at 700 like the
     kernel's, so q * x and every other term stay finite for any finite
-    energy (E/T itself may overflow first)."""
+    energy (E/T itself may overflow first).  dq/du is 0 where q rounds
+    to 1, as the loss there is flat in T."""
     dq = q * -0.5
     dq += 1.0
     dq *= q
     dq *= x  # dq/du = s x
+    if q[0] == 1.0:
+        # where x is so small that q rounds to 1, the loss does not move
+        # with T, so those points add nothing to L' or L''; the energies
+        # are sorted, so they are the leading run of q
+        dq[:bisect_left(q, True, key=lambda v: v < 1.0)] = 0.0
     np.subtract(1.0, q, out=q)
     q *= x
     q -= 1.0  # d2q/du2 = dq/du ((1 - q) x - 1)

@@ -187,6 +187,7 @@ def _two_kernel_derivatives(t, energies, fills):
     dq += 1.0
     dq *= q
     dq *= x
+    np.putmask(dq, q == 1.0, 0.0)
     np.subtract(1.0, q, out=q)
     q *= x
     q -= 1.0

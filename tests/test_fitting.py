@@ -144,6 +144,15 @@ class TestGradient:
             assert d1 == pytest.approx(central_difference(loss, u, 1e-6), rel=1e-5, abs=1e-10)
             assert d2 == pytest.approx(second_difference(loss, u, 1e-4), rel=1e-4, abs=1e-7)
 
+    @pytest.mark.parametrize("tiny", [0.0, 5e-324, 2.967577744255688e-82, 1e-19])
+    def test_a_point_whose_q_rounds_to_one_adds_nothing(self, tiny):
+        # its loss term stays 0 at every T, so it may not weigh in L''
+        assert spot_occupancy_prob(tiny, T_MIN) == 1.0
+        for t in (T_MIN, 0.0013, 0.5, T_MAX):
+            alone = derivatives_at(t, [0.25, 1.0], [0.0, 0.5])
+            with_it = derivatives_at(t, [0.25, tiny, 1.0], [0.0, 1.0, 0.5])
+            assert with_it == (alone[0] * 2 / 3, alone[1] * 2 / 3)
+
 
 class TestFitTemperature:
     def test_noiseless_recovery(self):
@@ -223,6 +232,7 @@ class TestFitTemperature:
 
     @given(POOLED_OBSERVATIONS, STARTS)
     @example([(0.04000000000000001, 0.3)], 0.5)  # a sub-resolution step, then one more
+    @example([(0.25, 0.0), (2.967577744255688e-82, 1.0)], 10.0)  # the second q rounds to 1
     @settings(max_examples=200, deadline=None)
     def test_every_stop_but_the_cap_restarts_to_itself(self, pairs, start):
         # plan_parking answers the replan from any fit but a capped one out
