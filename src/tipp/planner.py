@@ -194,7 +194,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     """Refit, re-solve, and return u(from_floor), the floor to drive to
     next from ``from_floor`` (an integer, 0 = entrance, at most N - 1,
     else a ValueError) in a garage of ``num_levels`` floors of
-    ``capacity_per_level`` spots each.
+    ``capacity_per_level`` spots each, integers >= 1 checked ahead of the memos.
 
     If fills have been observed, on floors in [1, N] that are Python
     or NumPy integers (not bool), the temperature is refitted on
@@ -214,6 +214,8 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     put in place of a planned ``4`` (or ``1``) is served as that floor.
     """
     _check_count(num_levels, "num_levels")  # the first error on every path, memo hit or miss
+    if not (type(capacity_per_level) is int and capacity_per_level >= 1):  # int: fast path
+        _check_count(capacity_per_level, "capacity")
     temperature = state.temperature_estimate
     observations = state.floor_observations
     # dicts compare without regard to order, as the fit sorts its points

@@ -13,7 +13,9 @@ run under one of four policies:
              floor fills, re-solve the descent program, drive to u(i).
 
 A policy only supplies the floors to try, in order; the car scans them
-until one has a free spot.  Every itinerary is timed by one law
+until one has a free spot.  A sweep's order is fixed, so the free counts
+give its floors and it parks with one scan, on the floors and in the
+time that a scan of each floor would give.  Every itinerary is timed by one law
 (:func:`tipp.planner.total_time`): t1 per scan, t3 per floor driven in
 either direction, t2 per floor walked back up from the parked floor.
 On a descent this is n*t1 + a*(t2 + t3).
@@ -109,7 +111,7 @@ class Garage:
 
     def lowest_free_floor(self) -> int | None:
         """Shallowest floor with a free spot, or None if the garage is full."""
-        floors = np.flatnonzero(self.free)
+        floors = self.free.nonzero()[0]
         return int(floors[0]) + 1 if floors.size else None
 
     def scan_and_park(self, floor: int) -> int | None:
@@ -131,20 +133,26 @@ class Garage:
 
         One uniform draw per spot, from this garage's generator, decides
         which spots empty.  The same draw empties them in ``copies``,
-        garages of this shape whose generators it leaves untouched.
+        garages of this shape whose generators it leaves untouched; a copy
+        of another shape is a ValueError, raised before any garage changes.
         Returns the number of spots vacated in this garage.
         """
         if not 0.0 <= departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in [0, 1]")
-        leaving = self.rng.random(self.occupancy.shape) < departure_prob
+        for garage in copies:
+            if garage.occupancy.shape != self.occupancy.shape:
+                raise ValueError(f"a garage of shape {garage.occupancy.shape} cannot share "
+                                 f"the draw of one of shape {self.occupancy.shape}")
+        # the draw fills the grid in row-major order, so its flat indices are the spots
+        leaving = (self.rng.random(self.occupancy.size) < departure_prob).nonzero()[0]
         for garage in copies:
             garage._vacate(leaving)
         return self._vacate(leaving)
 
     def _vacate(self, leaving: np.ndarray) -> int:
-        vacate = np.flatnonzero(self.occupancy & leaving)
+        vacate = leaving[self.occupancy.flat[leaving]]
         self.occupancy.flat[vacate] = False
-        self.free += np.bincount(vacate // self.capacity_per_level, minlength=self.num_levels)
+        np.add.at(self.free, vacate // self.capacity_per_level, 1)
         return int(vacate.size)
 
     def _check_floor(self, floor: int) -> None:
@@ -163,34 +171,34 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
     the garage's temperature (None for the other policies).  A car whose
     policy runs out of floors to try gets an outcome too, stranded: no
     floor or spot, and t1 per scan plus t3 per floor driven, no walk.
+    A sweep's floors are read off ``garage.free``, and it scans only the
+    floor it parks on; tipp scans each floor, to observe its fill.
     """
     if times is None:
         times = TimeConstants()
     policy = PolicyKind(policy)
-    n = garage.num_levels
     state = None
-    if policy is PolicyKind.BENCHMARK:
-        floors = range(1, n + 1)
-    elif policy is PolicyKind.INVERSE:
-        floors = range(n, 0, -1)
-    elif policy is PolicyKind.OPTIMAL:
-        floor = garage.lowest_free_floor()
-        floors = () if floor is None else (floor,)
-    else:
+    if policy is PolicyKind.TIPP:
         state = tipp_state
         if state is None:
             state = (TippState() if garage.init_temperature is None
                      else TippState(temperature_estimate=garage.init_temperature))
-        floors = _tipp_floors(garage, times, state)
-
-    scanned, spot = [], None
-    for floor in floors:
-        scanned.append(floor)
-        spot = garage.scan_and_park(floor)
-        if state is not None:
+        scanned, spot = [], None
+        for floor in _tipp_floors(garage, times, state):
+            scanned.append(floor)
+            spot = garage.scan_and_park(floor)
             state.floor_observations[floor] = garage.level_fill_fraction(floor)
-        if spot is not None:
-            break
+            if spot is not None:
+                break
+    else:
+        n, levels = garage.num_levels, garage.free.nonzero()[0].tolist()
+        if policy is PolicyKind.BENCHMARK:
+            scanned = list(range(1, levels[0] + 2 if levels else n + 1))
+        elif policy is PolicyKind.INVERSE:
+            scanned = list(range(n, levels[-1] if levels else 0, -1))
+        else:
+            scanned = [levels[0] + 1] if levels else []
+        spot = garage.scan_and_park(scanned[-1]) if levels else None
     if spot is None:  # stranded
         parked, elapsed = None, _scan_and_drive_time(scanned, times)
     else:

@@ -7,7 +7,8 @@ program via exhaustive enumeration of committed itineraries and via a
 full O(N^2) scan of every j > i, the time law via per-segment
 accounting, the tipp closed loop via plans that each start from a
 fresh copy of the policy memory, so no memo carries over, the
-garage via a bool grid alone, with no per-floor counts, and the sorted
+garage via a bool grid alone, with no per-floor counts, a sweep's car
+via a scan of every floor in its order on that grid, and the sorted
 observations via one two-key lexsort, and the survey reader via its
 line loop alone, the Newton fit via its two-kernel form, which
 computes q once for the loss and again for the derivatives and may
@@ -396,6 +397,33 @@ class GridGarage:
         vacate = self.occupancy & (draws < departure_prob)
         self.occupancy[vacate] = False
         return int(vacate.sum())
+
+
+def sweep_arrival_reference(garage, policy, times):
+    """One car of a sweep policy on a ``GridGarage``: it scans every floor
+    in the policy's order, one after another, until one parks it; optimal
+    tries only the shallowest floor with a free cell on the grid.  Timed
+    leg by leg: t1 per scan, t3 per floor driven either way and, if it
+    parked, t2 per floor walked back up.  Returns (floors_scanned,
+    parked_floor, spot_index, elapsed_time)."""
+    n = garage.occupancy.shape[0]
+    if policy == "benchmark":
+        order = list(range(1, n + 1))
+    elif policy == "inverse":
+        order = list(range(n, 0, -1))
+    else:
+        floor = garage.lowest_free_floor()
+        order = [] if floor is None else [floor]
+    scanned, driven, position = [], 0, 0
+    for floor in order:
+        scanned.append(floor)
+        driven += abs(floor - position)
+        position = floor
+        spot = garage.scan_and_park(floor)
+        if spot is not None:
+            return (tuple(scanned), floor, spot,
+                    len(scanned) * times.t1 + driven * times.t3 + floor * times.t2)
+    return tuple(scanned), None, None, len(scanned) * times.t1 + driven * times.t3
 
 
 def central_difference(f, x, h):

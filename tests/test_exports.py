@@ -55,3 +55,27 @@ def test_every_closed_loop_fit_goes_through_the_patched_name(monkeypatch):
     garage = tipp.Garage.from_temperature(10, 30, 1.0, seed=0)
     tipp.run_policy_sequence(garage, tipp.PolicyKind.TIPP, 60)
     assert calls["fit_temperature"] == calls["_sorted_observations"] > 0
+
+
+def test_every_simulated_car_goes_through_the_patched_name(monkeypatch, tmp_path):
+    # the untraced bench counts placed and stranded cars by wrapping
+    # tipp.simulator.run_arrival; a car placed any other way would show up
+    # there only as a failure, so here it is a row the wrapper did not see
+    calls = Counter()
+    run_arrival = tipp.simulator.run_arrival
+
+    def counting(garage, policy, *args, **kwargs):
+        calls[tipp.PolicyKind(policy).value] += 1
+        return run_arrival(garage, policy, *args, **kwargs)
+
+    monkeypatch.setattr(tipp.simulator, "run_arrival", counting)
+    # 6 x 5 at T=1.0 fills up within 40 cars: the sweeps turn cars away and
+    # tipp strands some, which the exit status reports
+    assert tipp.cli.main(["simulate", "--num-levels", "6", "--capacity-per-level", "5",
+                          "--temperature", "1.0", "--num-cars", "40", "--departure-prob",
+                          "0.02", "--policies", "benchmark,inverse,optimal,tipp",
+                          "--seed", "1", "--out", str(tmp_path)]) == tipp.cli.EXIT_SIMULATION
+    rows = {path.name.removesuffix("_percar.csv"): len(path.read_text().splitlines()) - 1
+            for path in tmp_path.glob("*_percar.csv")}
+    assert rows == dict(calls) and set(rows) == {"benchmark", "inverse", "optimal", "tipp"}
+    assert sum(rows.values()) < 4 * 40

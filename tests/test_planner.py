@@ -280,6 +280,27 @@ class TestTippDecide:
         with pytest.raises(ValueError, match="num_levels must be >= 1"):
             plan_parking(state, 0, 0, 30, TIMES)
 
+    @pytest.mark.parametrize("capacity", [2.0, np.float64(2.0), True, 0],
+                             ids=["2.0", "float64", "True", "0"])
+    def test_a_plan_memo_hit_checks_the_capacity_as_a_miss_does(self, capacity):
+        # with and without observations, a replan that the memos would answer
+        # rejects the capacity that a fresh state rejects
+        for observations in ({}, {3: 1.0}):
+            with pytest.raises(ValueError, match="capacity must be >= 1 and an integer") as fresh:
+                plan_parking(TippState(floor_observations=dict(observations)), 0, 10, capacity,
+                             TIMES)
+            state = TippState(floor_observations=dict(observations))
+            plan_parking(state, 0, 10, 2, TIMES)  # the memos now hold a plan for S = 2
+            memos = (state._fit_memo, state._plan_memo)
+            with pytest.raises(ValueError) as hit:
+                plan_parking(state, 0, 10, capacity, TIMES)
+            assert str(hit.value) == str(fresh.value)
+            assert state._fit_memo is memos[0] and state._plan_memo is memos[1]
+        state = TippState()
+        plan_parking(state, 0, 10, 2, TIMES)
+        assert plan_parking(state, 0, 10, np.int64(2), TIMES) == plan_parking(
+            TippState(), 0, 10, 2, TIMES)
+
     def _availability(self, temperature):
         q = spot_occupancy_prob(level_energies(10), temperature)
         return level_availability_prob(q, 30)

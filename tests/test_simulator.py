@@ -29,7 +29,12 @@ from tipp import (
 import tipp.planner
 from tipp.cli import ScenarioConfig, _run_policies
 from tipp.simulator import _run_lockstep
-from oracles import GridGarage, segment_accounting, tipp_sequence_replanned_fresh
+from oracles import (
+    GridGarage,
+    segment_accounting,
+    sweep_arrival_reference,
+    tipp_sequence_replanned_fresh,
+)
 
 TIMES = TimeConstants()
 
@@ -561,6 +566,21 @@ class TestLockstep:
         np.testing.assert_array_equal(copies[0].free, alone.free)
         assert not copies[1].occupancy.any() and list(copies[1].free) == [4, 4, 4]
 
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 4), (6, 4), (2, 6)])
+    def test_a_copy_of_another_shape_is_rejected_before_the_draw(self, shape):
+        full = np.ones((3, 4), dtype=bool)
+        garage = Garage.from_occupancy(full, seed=2)
+        copies = [Garage.from_occupancy(full), Garage.from_occupancy(np.ones(shape, dtype=bool))]
+        with pytest.raises(ValueError, match=re.escape(f"{shape} cannot share the draw of "
+                                                       "one of shape (3, 4)")):
+            garage.renewal_step(1.0, copies)
+        # no garage vacated, and the drawer's generator not advanced
+        for g in (garage, *copies):
+            assert g.occupancy.all() and not g.free.any()
+        fresh = Garage.from_occupancy(full, seed=2)
+        assert garage.renewal_step(0.5) == fresh.renewal_step(0.5)
+        assert garage.occupancy.tobytes() == fresh.occupancy.tobytes()
+
 
 @st.composite
 def garage_specs(draw):
@@ -603,6 +623,51 @@ class TestFreeCounts:
             for floor in range(1, n + 1):
                 assert garage.level_fill_fraction(floor) == (
                     reference.level_occupied_count(floor) / s)
+
+
+@st.composite
+def sweep_grids(draw):
+    """An N x S grid, N <= 10 and S <= 6, whose floors are each full,
+    empty or random."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    s = draw(st.integers(min_value=1, max_value=6))
+    kind = st.sampled_from(["full", "empty", "random"])
+    rows = []
+    for kind_of_row in draw(st.lists(kind, min_size=n, max_size=n)):
+        if kind_of_row == "random":
+            rows.append(draw(st.lists(st.booleans(), min_size=s, max_size=s)))
+        else:
+            rows.append([kind_of_row == "full"] * s)
+    return rows
+
+
+class TestSweepItinerary:
+    """A sweep's floors, read off the free counts, against a scan of each floor."""
+
+    @given(sweep_grids(), st.sampled_from([PolicyKind.BENCHMARK, PolicyKind.INVERSE,
+                                           PolicyKind.OPTIMAL]),
+           st.integers(min_value=1, max_value=12), st.floats(0.5, 60.0), st.floats(0.5, 60.0),
+           st.floats(0.5, 60.0))
+    @example([[True]], PolicyKind.BENCHMARK, 2, 30.0, 10.0, 5.0)
+    @example([[False]], PolicyKind.INVERSE, 2, 30.0, 10.0, 5.0)
+    @example([[True, True]] * 3, PolicyKind.INVERSE, 1, 30.0, 10.0, 5.0)
+    @example([[True, True]] * 3, PolicyKind.OPTIMAL, 1, 30.0, 10.0, 5.0)
+    @example([[True], [False], [True], [False]], PolicyKind.BENCHMARK, 3, 30.0, 10.0, 5.0)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_scan_of_every_floor(self, grid, policy, num_cars, t1, t2, t3):
+        # cars one after another, on past a full garage, where each is stranded
+        times = TimeConstants(t1, t2, t3)
+        garage, reference = Garage.from_occupancy(grid), GridGarage(grid, 0)
+        for car in range(num_cars):
+            outcome, state = run_arrival(garage, policy, times, car_index=car)
+            expected = sweep_arrival_reference(reference, policy.value, times)
+            assert state is None and outcome.car_index == car
+            assert (outcome.floors_scanned, outcome.parked_floor, outcome.spot_index,
+                    outcome.elapsed_time) == expected
+            assert all(type(f) is int for f in outcome.floors_scanned)
+            assert outcome.temperature_estimate_after is None
+            assert garage.occupancy.tobytes() == reference.occupancy.tobytes()
+            np.testing.assert_array_equal(garage.free, len(grid[0]) - reference.occupancy.sum(1))
 
 
 class TestSingleCarDominance:
