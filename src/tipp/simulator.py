@@ -40,7 +40,10 @@ class PolicyKind(str, Enum):
 @dataclass(frozen=True)
 class ArrivalOutcome:
     """One car's journey: floors visited, where it parked (None for a
-    stranded car, whose policy ran out of floors), elapsed seconds."""
+    stranded car, whose policy ran out of floors), elapsed seconds.
+
+    ``floors_scanned`` is a tuple of Python ints, as :func:`run_arrival`
+    builds it; :func:`write_outcomes_csv` relies on that (see there)."""
 
     car_index: int
     floors_scanned: tuple
@@ -145,6 +148,8 @@ class Garage:
                                  f"the draw of one of shape {self.occupancy.shape}")
         # the draw fills the grid in row-major order, so its flat indices are the spots
         leaving = (self.rng.random(self.occupancy.size) < departure_prob).nonzero()[0]
+        if not leaving.size:  # after the draw, so every step advances the stream alike
+            return 0
         for garage in copies:
             garage._vacate(leaving)
         return self._vacate(leaving)
@@ -191,14 +196,14 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
             if spot is not None:
                 break
     else:
-        n, levels = garage.num_levels, garage.free.nonzero()[0].tolist()
+        n, levels = garage.num_levels, garage.free.nonzero()[0]
         if policy is PolicyKind.BENCHMARK:
-            scanned = list(range(1, levels[0] + 2 if levels else n + 1))
+            scanned = list(range(1, levels[0] + 2 if levels.size else n + 1))
         elif policy is PolicyKind.INVERSE:
-            scanned = list(range(n, levels[-1] if levels else 0, -1))
+            scanned = list(range(n, levels[-1] if levels.size else 0, -1))
         else:
-            scanned = [levels[0] + 1] if levels else []
-        spot = garage.scan_and_park(scanned[-1]) if levels else None
+            scanned = [int(levels[0]) + 1] if levels.size else []
+        spot = garage.scan_and_park(scanned[-1]) if levels.size else None
     if spot is None:  # stranded
         parked, elapsed = None, _scan_and_drive_time(scanned, times)
     else:
@@ -251,6 +256,8 @@ def _run_lockstep(garages, policies, num_cars: int, times: TimeConstants | None 
     _check_count(num_cars, "num_cars")
     if not 0.0 <= departure_prob <= 1.0:  # NaN fails too
         raise ValueError("departure_prob must lie in [0, 1]")
+    if times is None:
+        times = TimeConstants()
     runs = [(garage, PolicyKind(policy), [])
             for garage, policy in zip(garages, policies, strict=True)]
     states = [None] * len(runs)
@@ -286,15 +293,26 @@ def render_ppm(garage: Garage) -> bytes:
 
 
 def write_outcomes_csv(path, policy: PolicyKind, outcomes) -> None:
-    """Per-car outcome stream with a running cumulative-time column."""
+    """Per-car outcome stream with a running cumulative-time column.
+
+    Each distinct ``floors_scanned`` is joined into its ``|`` text once
+    per call, for sweeps repeat their itineraries.  The texts are keyed
+    by tuple equality, so the floors must be Python ints, as
+    :func:`run_arrival` makes them: a hand-built ``(3.0,)`` written after
+    a ``(3,)`` prints ``3``, as the fit memo of
+    :func:`tipp.planner.plan_parking` serves a floor ``4.0`` as ``4``.
+    """
     policy = PolicyKind(policy)
     cumulative = 0.0
+    texts = {}
     with open(path, "w", newline="") as fh:
         fh.write("car_index,policy,floors_scanned,parked_floor,spot_index,"
                  "elapsed_seconds,cumulative_seconds,temperature_estimate\n")
         for outcome in outcomes:
             cumulative += outcome.elapsed_time
-            floors = "|".join(str(f) for f in outcome.floors_scanned)
+            floors = texts.get(outcome.floors_scanned)
+            if floors is None:
+                floors = texts[outcome.floors_scanned] = "|".join(map(str, outcome.floors_scanned))
             parked = "" if outcome.parked_floor is None else str(outcome.parked_floor)
             spot = "" if outcome.spot_index is None else str(outcome.spot_index)
             temp = ("" if outcome.temperature_estimate_after is None

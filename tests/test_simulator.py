@@ -167,6 +167,23 @@ class TestRenewal:
         with pytest.raises(ValueError):
             garage.renewal_step(1.5)
 
+    def test_an_empty_draw_leaves_every_garage_alone(self):
+        grid = np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+        garage = Garage.from_occupancy(grid, seed=5)
+        copies = [Garage.from_occupancy(grid, seed=5), Garage.from_occupancy(~grid, seed=6)]
+        before = [(g.occupancy.copy(), g.free.copy(), g.rng.bit_generator.state)
+                  for g in (garage, *copies)]
+        assert garage.renewal_step(1e-12, copies) == 0
+        for g, (occupancy, free, state) in zip((garage, *copies), before):
+            assert g.occupancy.tobytes() == occupancy.tobytes()
+            np.testing.assert_array_equal(g.free, free)
+            if g is not garage:
+                assert g.rng.bit_generator.state == state
+        # the drawer still made its one full draw, so later steps keep the stream
+        fresh = np.random.default_rng(5)
+        fresh.random(grid.size)
+        assert garage.rng.bit_generator.state == fresh.bit_generator.state
+
 
 class TestSnapshot:
     def test_counts_sum_to_total(self):
@@ -325,6 +342,16 @@ class TestRunPolicySequence:
                 garage = Garage.from_temperature(10, 30, 0.5, seed=4)
                 runs.append(run_policy_sequence(garage, policy, 10, TIMES))
             assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_default_times_are_built_once_per_run(self, monkeypatch, policy):
+        built = []
+        check = TimeConstants.__post_init__
+        monkeypatch.setattr(TimeConstants, "__post_init__",
+                            lambda self: (built.append(self), check(self))[1])
+        garage = Garage.from_temperature(4, 3, 0.5, seed=0)
+        run_policy_sequence(garage, policy, 20, times=None, departure_prob=0.1)
+        assert len(built) == 1
 
     def test_car_indices_sequential(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
