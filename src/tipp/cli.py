@@ -17,7 +17,6 @@ each policy's first such car).
 """
 
 import argparse
-import copy
 import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -163,9 +162,9 @@ def build_config(args) -> ScenarioConfig:
 def _run_policies(config: ScenarioConfig):
     """Run every requested policy on its own copy of one initialized garage.
 
-    The garage is built once from (temperature, seed); the first policy
-    runs on it and each other policy on a deep copy.  The policies run in
-    lockstep, car by car, and after each car one renewal draw from the
+    The garage is built once from (temperature, seed) and handed to the
+    lockstep, which copies it for each policy after the first.  The
+    policies run car by car, and after each car one renewal draw from the
     built garage's generator vacates the same spots in every copy, so all
     policies face the same starting state and the same departures.  Each
     run is (policy, outcomes, total elapsed seconds, the first unplaced
@@ -173,8 +172,7 @@ def _run_policies(config: ScenarioConfig):
     """
     garage = Garage.from_temperature(config.num_levels, config.capacity_per_level,
                                      config.temperature, config.seed)
-    copies = [copy.deepcopy(garage) for _ in config.policies[1:]]
-    runs = _run_lockstep([garage, *copies], config.policies, config.num_cars, config.times,
+    runs = _run_lockstep(garage, config.policies, config.num_cars, config.times,
                          config.departure_prob)
     return [(policy, outcomes, sum((o.elapsed_time for o in outcomes), 0.0),
              _first_unplaced(outcomes, config.num_cars))

@@ -66,17 +66,13 @@ class DpSolution:
     actions: np.ndarray
     entrance_value: float
 
-    @property
-    def num_levels(self) -> int:
-        return int(self.values.size)
-
     def value(self, floor: int) -> float:
-        if not (_is_integer(floor) and 1 <= floor <= self.num_levels):
-            raise ValueError(f"floor {floor} outside [1, {self.num_levels}]")
+        if not (_is_integer(floor) and 1 <= floor <= self.values.size):
+            raise ValueError(f"floor {floor} outside [1, {self.values.size}]")
         return float(self.values[floor - 1])
 
     def action(self, floor: int) -> int:
-        if not (_is_integer(floor) and 0 <= floor <= self.num_levels - 1):
+        if not (_is_integer(floor) and 0 <= floor < self.values.size):
             raise ValueError(f"no action from floor {floor}")
         return int(self.actions[floor])
 
@@ -159,7 +155,7 @@ def _scan_and_drive_time(floors, times: TimeConstants) -> float:
 
 def _check_floor_type(floor) -> None:
     if not _is_integer(floor):
-        raise ValueError("observed floors must be integers")
+        raise ValueError(f"observed floors must be integers, got {floor!r}")
 
 
 @dataclass
@@ -184,9 +180,10 @@ class TippState:
         for floor, fill in self.floor_observations.items():
             _check_floor_type(floor)
             if floor < 1:
-                raise ValueError("observed floors must be >= 1")
+                raise ValueError(f"observed floors must be >= 1, got {floor!r}")
             if not 0.0 <= fill <= 1.0:
-                raise ValueError("observed fills must lie in [0, 1]")
+                raise ValueError(f"observed fills must lie in [0, 1], got {fill!r} "
+                                 f"on floor {floor!r}")
 
 
 def plan_parking(state: TippState, from_floor: int, num_levels: int,
@@ -223,7 +220,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
         for floor in observations:  # each on its own: True is no index, 2.0 neither
             _check_floor_type(floor)
             if not 1 <= floor <= num_levels:
-                raise ValueError(f"observed floors must lie in [1, {num_levels}]")
+                raise ValueError(f"observed floors must lie in [1, {num_levels}], got {floor!r}")
         energies = level_energies(num_levels)[np.array(list(observations)) - 1]
         fit = fit_temperature(energies, list(observations.values()), temperature)
         temperature = fit.temperature

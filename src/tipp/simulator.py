@@ -21,6 +21,7 @@ either direction, t2 per floor walked back up from the parked floor.
 On a descent this is n*t1 + a*(t2 + t3).
 """
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 
@@ -177,7 +178,9 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
     policy runs out of floors to try gets an outcome too, stranded: no
     floor or spot, and t1 per scan plus t3 per floor driven, no walk.
     A sweep's floors are read off ``garage.free``, and it scans only the
-    floor it parks on; tipp scans each floor, to observe its fill.
+    floor it parks on.  Tipp scans each floor to record its fill, and
+    refits and replans from each full one; a car stops planning once it
+    parks, so its own park informs only later cars.
     """
     if times is None:
         times = TimeConstants()
@@ -188,13 +191,12 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
         if state is None:
             state = (TippState() if garage.init_temperature is None
                      else TippState(temperature_estimate=garage.init_temperature))
-        scanned, spot = [], None
-        for floor in _tipp_floors(garage, times, state):
-            scanned.append(floor)
-            spot = garage.scan_and_park(floor)
-            state.floor_observations[floor] = garage.level_fill_fraction(floor)
-            if spot is not None:
-                break
+        scanned, spot, here = [], None, 0
+        while spot is None and here < garage.num_levels:
+            here = plan_parking(state, here, garage.num_levels, garage.capacity_per_level, times)
+            scanned.append(here)
+            spot = garage.scan_and_park(here)
+            state.floor_observations[here] = garage.level_fill_fraction(here)
     else:
         n, levels = garage.num_levels, garage.free.nonzero()[0]
         if policy is PolicyKind.BENCHMARK:
@@ -212,19 +214,6 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
     return ArrivalOutcome(car_index, tuple(scanned), parked, spot, elapsed, estimate), state
 
 
-def _tipp_floors(garage: Garage, times: TimeConstants, state: TippState):
-    """Yield the closed loop's floors, re-planning from each full one.
-
-    Each plan refits ``state.temperature_estimate`` from the fills that
-    ``run_arrival`` records as each floor is scanned.  A car stops
-    planning once it parks, so its own park informs only later cars.
-    """
-    here = 0
-    while here < garage.num_levels:
-        here = plan_parking(state, here, garage.num_levels, garage.capacity_per_level, times)
-        yield here
-
-
 def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
                         times: TimeConstants | None = None,
                         departure_prob: float = 0.0) -> list[ArrivalOutcome]:
@@ -237,39 +226,39 @@ def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,
     from the temperature the garage was built at and carries over from
     car to car.  A positive ``departure_prob`` applies one renewal step
     after every car, a turned-away one too, so the run goes on.  This is
-    the one-policy case of :func:`_run_lockstep`.
+    the one-policy case of :func:`_run_lockstep`, run on ``garage`` itself.
     """
-    return _run_lockstep([garage], [policy], num_cars, times, departure_prob)[0]
+    if times is None:
+        times = TimeConstants()
+    return _run_lockstep(garage, [policy], num_cars, times, departure_prob)[0]
 
 
-def _run_lockstep(garages, policies, num_cars: int, times: TimeConstants | None = None,
-                  departure_prob: float = 0.0) -> list[list[ArrivalOutcome]]:
-    """Run ``policies[k]`` on ``garages[k]``, car by car, all in step.
+def _run_lockstep(garage: Garage, policies, num_cars: int, times: TimeConstants,
+                  departure_prob: float) -> list[list[ArrivalOutcome]]:
+    """Run every policy on its own copy of ``garage``, car by car, all in step.
 
-    Each car arrives under every policy in turn; then one renewal step,
-    drawn by ``garages[0]``, vacates the same spots in every garage.  So
-    policies started on copies of one garage meet the departures that
-    separate :func:`run_policy_sequence` runs would draw, each copy from
-    its own generator in the same state, while the draw is made once.
-    Returns each policy's outcomes.
+    The first policy runs on ``garage`` itself, and each other one on a
+    deep copy, generator included, made before the first car.  Each car
+    arrives under every policy in turn; then one renewal step, drawn by
+    ``garage``, vacates the same spots in every copy.  So each policy
+    meets the departures that a separate :func:`run_policy_sequence` run
+    on its own copy would draw, while the draw is made once.  Returns
+    each policy's outcomes.
     """
     _check_count(num_cars, "num_cars")
     if not 0.0 <= departure_prob <= 1.0:  # NaN fails too
         raise ValueError("departure_prob must lie in [0, 1]")
-    if times is None:
-        times = TimeConstants()
-    runs = [(garage, PolicyKind(policy), [])
-            for garage, policy in zip(garages, policies, strict=True)]
+    copies = [copy.deepcopy(garage) for _ in policies[1:]]
+    runs = [(lot, PolicyKind(policy), []) for lot, policy in zip([garage, *copies], policies)]
     states = [None] * len(runs)
-    drawer, copies = garages[0], garages[1:]
     for car in range(num_cars):
-        for k, (garage, policy, outcomes) in enumerate(runs):
-            if garage.lowest_free_floor() is not None:
-                outcome, states[k] = run_arrival(garage, policy, times, tipp_state=states[k],
+        for k, (lot, policy, outcomes) in enumerate(runs):
+            if lot.lowest_free_floor() is not None:
+                outcome, states[k] = run_arrival(lot, policy, times, tipp_state=states[k],
                                                  car_index=car)
                 outcomes.append(outcome)
         if departure_prob > 0.0:
-            drawer.renewal_step(departure_prob, copies)
+            garage.renewal_step(departure_prob, copies)
     return [outcomes for _, _, outcomes in runs]
 
 

@@ -4,7 +4,8 @@ These deliberately re-derive results through different routes than the
 library: occupancy via a direct formula expression, temperature fitting
 via dense grid search and via first-order descent on T, the descent
 program via exhaustive enumeration of committed itineraries and via a
-full O(N^2) scan of every j > i, the time law via per-segment
+full O(N^2) scan of every j > i, its values via cars that follow u
+through seeded spot-level grids, the time law via per-segment
 accounting, the tipp closed loop via plans that each start from a
 fresh copy of the policy memory, so no memo carries over, the
 garage via a bool grid alone, with no per-floor counts, a sweep's car
@@ -315,6 +316,38 @@ def segment_accounting(itinerary, t1, t2, t3):
         drive += (floor - position) * t3
         position = floor
     return len(itinerary) * t1 + drive + itinerary[-1] * t2
+
+
+def descent_path(actions, start):
+    """The floors a car scans when it follows ``actions`` (u(0..N-1))
+    from floor ``start`` (0 = the entrance, which it does not scan) and
+    never parks: every floor it is sent to, down to N."""
+    path, here = ([start] if start else []), start
+    while here < len(actions):
+        here = int(actions[here])
+        path.append(here)
+    return path
+
+
+def sampled_free_floors(occupancy, capacity, draws, rng):
+    """``draws`` seeded spot-level grids, as a (draws, N) array of whether
+    each floor has a free spot.  Each spot of floor i is occupied with
+    probability ``occupancy[i - 1]`` on its own; floor N always has a free
+    spot, as the descent program's boundary assumes.  One floor is drawn
+    at a time, so the grids are never held whole."""
+    n = len(occupancy)
+    free = np.ones((draws, n), dtype=bool)
+    for floor in range(1, n):
+        free[:, floor - 1] = ~(rng.random((draws, capacity)) < occupancy[floor - 1]).all(axis=1)
+    return free
+
+
+def descent_stop_times(path, start, times):
+    """The time of each itinerary a car on ``path`` from floor ``start``
+    can take, parking on path[k] after scanning path[:k + 1]: its segment
+    accounting less the drive from the entrance to ``start``."""
+    return np.array([segment_accounting(path[:k + 1], times.t1, times.t2, times.t3)
+                     - start * times.t3 for k in range(len(path))])
 
 
 def tipp_sequence_replanned_fresh(garage, num_cars, times, departure_prob=0.0):

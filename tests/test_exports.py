@@ -4,6 +4,7 @@ from collections import Counter
 from pathlib import Path
 
 import tipp
+import tipp.cli
 
 
 def test_public_exports_are_pinned():
@@ -57,6 +58,36 @@ def test_every_closed_loop_fit_goes_through_the_patched_name(monkeypatch):
     assert calls["fit_temperature"] == calls["_sorted_observations"] > 0
 
 
+#: 6 x 5 at T=1.0 fills up within 40 cars: the sweeps turn cars away and
+#: tipp strands some, which the exit status reports.
+STRANDING_RUN = ["simulate", "--num-levels", "6", "--capacity-per-level", "5",
+                 "--temperature", "1.0", "--num-cars", "40", "--departure-prob", "0.02",
+                 "--policies", "benchmark,inverse,optimal,tipp", "--seed", "1"]
+
+
+def test_every_replan_goes_through_the_patched_name(monkeypatch, tmp_path):
+    # the bench counts replans by wrapping tipp.simulator.plan_parking; the
+    # closed loop plans once before each floor it scans, so a plan made any
+    # other way shows up as a scanned floor the wrapper did not see
+    calls = Counter()
+    plan_parking = tipp.simulator.plan_parking
+
+    def counting(*args, **kwargs):
+        calls["plan_parking"] += 1
+        return plan_parking(*args, **kwargs)
+
+    monkeypatch.setattr(tipp.simulator, "plan_parking", counting)
+    garage = tipp.Garage.from_temperature(10, 30, 1.0, seed=0)
+    outcomes = tipp.run_policy_sequence(garage, tipp.PolicyKind.TIPP, 60)
+    # some cars replan from a full floor, and some strand after floor N
+    assert calls["plan_parking"] == sum(len(o.floors_scanned) for o in outcomes) > len(outcomes)
+    calls.clear()
+    assert tipp.cli.main([*STRANDING_RUN, "--out", str(tmp_path)]) == tipp.cli.EXIT_SIMULATION
+    rows = (tmp_path / "tipp_percar.csv").read_text().splitlines()[1:]
+    scanned = sum(len(row.split(",")[2].split("|")) for row in rows)
+    assert calls["plan_parking"] == scanned > 0
+
+
 def test_every_simulated_car_goes_through_the_patched_name(monkeypatch, tmp_path):
     # the untraced bench counts placed and stranded cars by wrapping
     # tipp.simulator.run_arrival; a car placed any other way would show up
@@ -69,12 +100,7 @@ def test_every_simulated_car_goes_through_the_patched_name(monkeypatch, tmp_path
         return run_arrival(garage, policy, *args, **kwargs)
 
     monkeypatch.setattr(tipp.simulator, "run_arrival", counting)
-    # 6 x 5 at T=1.0 fills up within 40 cars: the sweeps turn cars away and
-    # tipp strands some, which the exit status reports
-    assert tipp.cli.main(["simulate", "--num-levels", "6", "--capacity-per-level", "5",
-                          "--temperature", "1.0", "--num-cars", "40", "--departure-prob",
-                          "0.02", "--policies", "benchmark,inverse,optimal,tipp",
-                          "--seed", "1", "--out", str(tmp_path)]) == tipp.cli.EXIT_SIMULATION
+    assert tipp.cli.main([*STRANDING_RUN, "--out", str(tmp_path)]) == tipp.cli.EXIT_SIMULATION
     rows = {path.name.removesuffix("_percar.csv"): len(path.read_text().splitlines()) - 1
             for path in tmp_path.glob("*_percar.csv")}
     assert rows == dict(calls) and set(rows) == {"benchmark", "inverse", "optimal", "tipp"}

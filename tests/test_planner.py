@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,14 @@ from tipp import (
 
 import tipp.fitting
 import tipp.planner
-from oracles import enumerate_best_itinerary, segment_accounting, solve_dp_reference
+from oracles import (
+    descent_path,
+    descent_stop_times,
+    enumerate_best_itinerary,
+    sampled_free_floors,
+    segment_accounting,
+    solve_dp_reference,
+)
 
 TIMES = TimeConstants(t1=30.0, t2=10.0, t3=5.0)
 
@@ -190,6 +198,42 @@ class TestSolveDp:
         assert sol.entrance_value == entrance_value
 
 
+class TestSampledDescent:
+    """f(i) and the entrance value against cars that follow u through
+    seeded spot-level grids, each spot occupied with probability q."""
+
+    DRAWS = 20_000
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n, s, temperature, times", [
+        *((n, s, temperature, TIMES) for n, s, temperature in [
+            (10, 30, 0.5), (10, 30, 1.0), (20, 3, 0.3), (5, 4, 2.0), (1, 1, 1.0), (3, 2, 0.05),
+            (30, 10, 1.0)]),
+        (10, 30, 0.5, DP_TIMES[3]),  # driving dearer than scanning
+    ])
+    def test_values_are_the_mean_time_of_following_u(self, n, s, temperature, times, seed):
+        q = spot_occupancy_prob(level_energies(n), temperature)
+        solution = solve_dp(level_availability_prob(q, s), times)
+        p = 1.0 - q**s  # a floor is free unless all s spots are taken
+        free = sampled_free_floors(q, s, self.DRAWS, np.random.default_rng(seed))
+        for start in range(n + 1):
+            path = descent_path(solution.actions, start)
+            stops = descent_stop_times(path, start, times)
+            # the path is fixed, so a car parks on its first free floor:
+            # each earlier floor full, this one free (floor N always is)
+            p_path = np.append(p[np.array(path[:-1], dtype=int) - 1], 1.0)
+            chance = p_path * np.cumprod(np.append(1.0, 1.0 - p_path[:-1]))
+            mean = float(chance @ stops)
+            value = solution.entrance_value if start == 0 else solution.values[start - 1]
+            assert mean == pytest.approx(value, rel=1e-9), start
+            # the sample's own spread misses a floor that is rarely full
+            # (q^S ~ 3e-4 on floor 7 of 10 x 30 at T = 1), so the exact one
+            # sets the standard error
+            error = math.sqrt(chance @ (stops - mean) ** 2 / self.DRAWS)
+            sample = stops[free[:, np.array(path) - 1].argmax(axis=1)]
+            assert abs(sample.mean() - value) <= 4 * error + 1e-9 * value, start
+
+
 class TestTotalTime:
     def test_single_scan_best_case(self):
         assert total_time([1], TIMES) == 45.0
@@ -265,6 +309,29 @@ class TestObserveFloor:
         state.floor_observations[floor] = 0.5
         with pytest.raises(ValueError, match="observed floors must be integers"):
             plan_parking(state, 0, 10, 30, TIMES)
+
+
+@pytest.mark.parametrize("at_build, floor, fill, message", [
+    (True, 0, 0.5, "observed floors must be >= 1, got 0"),
+    (True, 3, 1.5, "observed fills must lie in [0, 1], got 1.5 on floor 3"),
+    (True, 2, float("nan"), "observed fills must lie in [0, 1], got nan on floor 2"),
+    (True, 2.5, 0.5, "observed floors must be integers, got 2.5"),
+    (True, "a", 0.5, "observed floors must be integers, got 'a'"),
+    (False, 11, 0.5, "observed floors must lie in [1, 10], got 11"),
+    (False, -3, 0.5, "observed floors must lie in [1, 10], got -3"),
+    (False, True, 0.5, "observed floors must be integers, got True"),
+])
+def test_errors_name_the_offending_floor_or_fill(at_build, floor, fill, message):
+    # TippState checks its entries when built; plan_parking checks the
+    # floors against the garage's N (10 here), those added later too
+    with pytest.raises(ValueError) as error:
+        if at_build:
+            TippState(floor_observations={floor: fill})
+        else:
+            state = TippState()
+            state.floor_observations[floor] = fill
+            plan_parking(state, 0, 10, 30, TIMES)
+    assert str(error.value) == message
 
 
 class TestTippDecide:

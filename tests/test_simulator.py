@@ -560,28 +560,34 @@ class TestLockstep:
     @given(*GARAGES, st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.integers(1, 3 * 12 * 8),
            st.lists(st.sampled_from([PolicyKind.BENCHMARK, PolicyKind.INVERSE,
                                      PolicyKind.OPTIMAL]), unique=True),
-           st.integers(min_value=0, max_value=3))
+           st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2))
     # a full garage turns cars away between departures
-    @example(3, 4, 10.0, 0, 0.5, 36, [PolicyKind.OPTIMAL, PolicyKind.BENCHMARK], 1)
+    @example(3, 4, 10.0, 0, 0.5, 36, [PolicyKind.OPTIMAL, PolicyKind.BENCHMARK], 1, 0)
     @settings(max_examples=60, deadline=None)
     def test_lockstep_equals_separate_runs(self, n, s, temperature, seed, departure_prob,
-                                           num_cars, others, tipp_at):
+                                           num_cars, others, tipp_at, steps):
         policies = [*others]
         policies.insert(tipp_at, PolicyKind.TIPP)
-        # the oracle: each policy alone on a deep copy, generator included
+        # renewal steps before the run move the grid and the generator
+        # away from the built state, as a library caller's garage may be
         template = Garage.from_temperature(n, s, temperature, seed=seed)
+        for _ in range(steps):
+            template.renewal_step(0.3)
+        # the oracle: each policy alone on a deep copy, generator included
         alone = [copy.deepcopy(template) for _ in policies]
         expected = [run_policy_sequence(garage, policy, num_cars, TIMES, departure_prob)
                     for garage, policy in zip(alone, policies)]
-        garages = [copy.deepcopy(template) for _ in policies]
-        assert _run_lockstep(garages, policies, num_cars, TIMES, departure_prob) == expected
-        for garage, reference in zip(garages, alone):
-            assert garage.occupancy.tobytes() == reference.occupancy.tobytes()
-            np.testing.assert_array_equal(garage.free, reference.free)
-        config = ScenarioConfig(num_levels=n, capacity_per_level=s, temperature=temperature,
-                                num_cars=num_cars, times=TIMES, policies=tuple(policies),
-                                seed=seed, departure_prob=departure_prob)
-        assert [run[1] for run in _run_policies(config)] == expected
+        garage = copy.deepcopy(template)
+        assert _run_lockstep(garage, policies, num_cars, TIMES, departure_prob) == expected
+        # the first policy runs on the drawing garage itself; the other
+        # policies' garages are the lockstep's own copies
+        assert garage.occupancy.tobytes() == alone[0].occupancy.tobytes()
+        np.testing.assert_array_equal(garage.free, alone[0].free)
+        if not steps:  # the CLI runs on a garage as built
+            config = ScenarioConfig(num_levels=n, capacity_per_level=s, temperature=temperature,
+                                    num_cars=num_cars, times=TIMES, policies=tuple(policies),
+                                    seed=seed, departure_prob=departure_prob)
+            assert [run[1] for run in _run_policies(config)] == expected
 
     def test_copies_vacate_what_the_drawing_garage_draws(self):
         full = np.ones((3, 4), dtype=bool)
