@@ -139,18 +139,25 @@ def total_time(floors, times: TimeConstants) -> float:
     n*t1 + a*(t2 + t3)."""
     if not floors or min(floors) < 1:
         raise ValueError("an itinerary is a non-empty sequence of floors >= 1")
-    return _scan_and_drive_time(floors, times) + floors[-1] * times.t2
+    return _timed(len(floors), _floors_driven(floors), times, floors[-1])
 
 
-def _scan_and_drive_time(floors, times: TimeConstants) -> float:
-    """t1 per floor scanned plus t3 per floor driven, from the entrance:
-    the time of a car that parks nowhere, so walks nowhere."""
+def _floors_driven(floors) -> int:
+    """Floors driven in either direction from the entrance along an itinerary."""
     driven = 0
     here = 0
     for floor in floors:
         driven += abs(floor - here)
         here = floor
-    return len(floors) * times.t1 + driven * times.t3
+    return driven
+
+
+def _timed(scans: int, driven: int, times: TimeConstants, parked: int | None) -> float:
+    """The one time law: t1 per scan, t3 per floor driven and, for a car
+    parked on floor ``parked``, t2 per floor walked back up; a stranded
+    car (None) walks nowhere."""
+    elapsed = scans * times.t1 + driven * times.t3
+    return elapsed if parked is None else elapsed + parked * times.t2
 
 
 def _check_floor_type(floor) -> None:

@@ -15,10 +15,11 @@ run under one of four policies:
 A policy only supplies the floors to try, in order; the car scans them
 until one has a free spot.  A sweep's order is fixed, so the free counts
 give its floors and it parks with one scan, on the floors and in the
-time that a scan of each floor would give.  Every itinerary is timed by one law
-(:func:`tipp.planner.total_time`): t1 per scan, t3 per floor driven in
-either direction, t2 per floor walked back up from the parked floor.
-On a descent this is n*t1 + a*(t2 + t3).
+time that a scan of each floor would give.  Every itinerary is timed by one law,
+the one :func:`tipp.planner.total_time` applies: t1 per scan, t3 per floor driven
+in either direction, t2 per floor walked back up from the parked floor.
+On a descent this is n*t1 + a*(t2 + t3).  A sweep counts its floors
+driven in closed form; a tipp itinerary walks them.
 """
 
 import copy
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .model import _check_count, _is_integer, level_energies, level_fill_count, spot_occupancy_prob
-from .planner import TimeConstants, TippState, _scan_and_drive_time, plan_parking, total_time
+from .planner import TimeConstants, TippState, _floors_driven, _timed, plan_parking
 
 
 class PolicyKind(str, Enum):
@@ -156,8 +157,12 @@ class Garage:
         return self._vacate(leaving)
 
     def _vacate(self, leaving: np.ndarray) -> int:
-        vacate = leaving[self.occupancy.flat[leaving]]
-        self.occupancy.flat[vacate] = False
+        """Empty the occupied spots among the flat indices ``leaving``; return how many.
+        ``occupancy`` is C-contiguous, as ``__init__`` allocates it and a deep
+        copy keeps it, so ``reshape(-1)`` is a view that writes through."""
+        grid = self.occupancy.reshape(-1)
+        vacate = leaving[grid[leaving]]
+        grid[vacate] = False
         np.add.at(self.free, vacate // self.capacity_per_level, 1)
         return int(vacate.size)
 
@@ -197,21 +202,25 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
             scanned.append(here)
             spot = garage.scan_and_park(here)
             state.floor_observations[here] = garage.level_fill_fraction(here)
+        scanned, driven = tuple(scanned), _floors_driven(scanned)
     else:
+        # a sweep's floors are consecutive, so its drive has a closed form: straight
+        # down to a, its last floor, or for inverse down to N and back up to a
         n, levels = garage.num_levels, garage.free.nonzero()[0]
         if policy is PolicyKind.BENCHMARK:
-            scanned = list(range(1, levels[0] + 2 if levels.size else n + 1))
+            a = int(levels[0]) + 1 if levels.size else n
+            scanned, driven = tuple(range(1, a + 1)), a
         elif policy is PolicyKind.INVERSE:
-            scanned = list(range(n, levels[-1] if levels.size else 0, -1))
+            a = int(levels[-1]) + 1 if levels.size else 1
+            scanned, driven = tuple(range(n, a - 1, -1)), 2 * n - a
         else:
-            scanned = [int(levels[0]) + 1] if levels.size else []
+            scanned = (int(levels[0]) + 1,) if levels.size else ()
+            driven = sum(scanned)
         spot = garage.scan_and_park(scanned[-1]) if levels.size else None
-    if spot is None:  # stranded
-        parked, elapsed = None, _scan_and_drive_time(scanned, times)
-    else:
-        parked, elapsed = scanned[-1], total_time(scanned, times)
+    parked = None if spot is None else scanned[-1]  # None: stranded
+    elapsed = _timed(len(scanned), driven, times, parked)
     estimate = None if state is None else state.temperature_estimate
-    return ArrivalOutcome(car_index, tuple(scanned), parked, spot, elapsed, estimate), state
+    return ArrivalOutcome(car_index, scanned, parked, spot, elapsed, estimate), state
 
 
 def run_policy_sequence(garage: Garage, policy: PolicyKind, num_cars: int,

@@ -105,3 +105,23 @@ def test_every_simulated_car_goes_through_the_patched_name(monkeypatch, tmp_path
             for path in tmp_path.glob("*_percar.csv")}
     assert rows == dict(calls) and set(rows) == {"benchmark", "inverse", "optimal", "tipp"}
     assert sum(rows.values()) < 4 * 40
+
+
+def test_every_sweep_car_scans_once_through_the_patched_name(monkeypatch, tmp_path):
+    # the bench counts scans by wrapping Garage.scan_and_park; a sweep car
+    # reads its floors off the free counts and scans only where it parks,
+    # so a churn run makes exactly one call per car of each sweep
+    calls = Counter()
+    scan_and_park = tipp.simulator.Garage.scan_and_park
+
+    def counting(self, floor):
+        calls["scan_and_park"] += 1
+        return scan_and_park(self, floor)
+
+    monkeypatch.setattr(tipp.simulator.Garage, "scan_and_park", counting)
+    argv = ["simulate", "--num-levels", "10", "--capacity-per-level", "10", "--temperature",
+            "0.5", "--num-cars", "200", "--departure-prob", "0.02",
+            "--policies", "benchmark,inverse,optimal", "--seed", "3", "--out", str(tmp_path)]
+    assert tipp.cli.main(argv) == 0
+    rows = [len(path.read_text().splitlines()) - 1 for path in tmp_path.glob("*_percar.csv")]
+    assert len(rows) == 3 and calls["scan_and_park"] == sum(rows) == 3 * 200

@@ -563,6 +563,8 @@ class TestLockstep:
            st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2))
     # a full garage turns cars away between departures
     @example(3, 4, 10.0, 0, 0.5, 36, [PolicyKind.OPTIMAL, PolicyKind.BENCHMARK], 1, 0)
+    # dense departures on a large grid: every deep copy vacates through its own grid
+    @example(30, 30, 1.0, 0, 0.5, 120, [PolicyKind.BENCHMARK, PolicyKind.INVERSE], 2, 0)
     @settings(max_examples=60, deadline=None)
     def test_lockstep_equals_separate_runs(self, n, s, temperature, seed, departure_prob,
                                            num_cars, others, tipp_at, steps):
@@ -583,6 +585,8 @@ class TestLockstep:
         # policies' garages are the lockstep's own copies
         assert garage.occupancy.tobytes() == alone[0].occupancy.tobytes()
         np.testing.assert_array_equal(garage.free, alone[0].free)
+        for lot in (garage, *alone):  # the free counts follow each grid's own vacates
+            np.testing.assert_array_equal(lot.free, s - lot.occupancy.sum(axis=1))
         if not steps:  # the CLI runs on a garage as built
             config = ScenarioConfig(num_levels=n, capacity_per_level=s, temperature=temperature,
                                     num_cars=num_cars, times=TIMES, policies=tuple(policies),
@@ -686,6 +690,11 @@ class TestSweepItinerary:
     @example([[True, True]] * 3, PolicyKind.INVERSE, 1, 30.0, 10.0, 5.0)
     @example([[True, True]] * 3, PolicyKind.OPTIMAL, 1, 30.0, 10.0, 5.0)
     @example([[True], [False], [True], [False]], PolicyKind.BENCHMARK, 3, 30.0, 10.0, 5.0)
+    # long itineraries: 60 full floors passed, and 100-floor strandings
+    @example([[True, True]] * 60 + [[False, True]] * 40, PolicyKind.BENCHMARK, 3, 30.0, 10.0, 5.0)
+    @example([[True, False]] * 39 + [[True, True]] * 61, PolicyKind.INVERSE, 2, 30.0, 10.0, 5.0)
+    @example([[True]] * 100, PolicyKind.BENCHMARK, 2, 30.0, 10.0, 5.0)
+    @example([[True]] * 100, PolicyKind.INVERSE, 2, 30.0, 10.0, 5.0)
     @settings(max_examples=200, deadline=None)
     def test_equals_a_scan_of_every_floor(self, grid, policy, num_cars, t1, t2, t3):
         # cars one after another, on past a full garage, where each is stranded
