@@ -237,8 +237,8 @@ def cmd_sweep(config: ScenarioConfig, args) -> int:
 
 
 def cmd_fit(config: ScenarioConfig, args) -> int:
-    survey = load_survey(args.survey)
-    energies, fills = survey_to_observations(survey)
+    # the survey is dropped here: the fit holds only the observations
+    energies, fills = survey_to_observations(load_survey(args.survey))
     result = fit_temperature(energies, fills, config.initial_temperature)
     report = {
         "temperature": result.temperature,

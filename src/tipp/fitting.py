@@ -39,6 +39,7 @@ from .model import (
     T_MIN,
     _check_count,
     _check_temperature,
+    _is_integer,
     _q,
     spot_occupancy_prob,
 )
@@ -48,6 +49,8 @@ from .model import (
 _RESOLUTION = 1e-9
 #: Most accepted steps before the fit stops.
 _MAX_ITERATIONS = 10_000
+#: Spot rows ``save_survey`` formats and writes at a time.
+_SAVE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class FitResult:
 
 @dataclass(frozen=True)
 class LotSurvey:
-    """Surveyed lot geometry: spot coordinates, occupancy flags, one point of interest."""
+    """Surveyed lot geometry: spot coordinates, occupancy flags (bool, 0 or 1), one POI."""
 
     x: np.ndarray
     y: np.ndarray
@@ -82,10 +85,12 @@ class LotSurvey:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        occ = np.asarray(self.occupied, dtype=bool)
+        occ = np.asarray(self.occupied)  # dtype=bool would read 0.5, 2 or NaN as occupied
+        if occ.dtype != bool and not (occ.dtype.kind in "iuf" and np.isin(occ, (0, 1)).all()):
+            raise ValueError("occupancy flags must be bools, 0 or 1")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "occupied", occ)
+        object.__setattr__(self, "occupied", occ.astype(bool, copy=False))
         object.__setattr__(self, "poi", (float(self.poi[0]), float(self.poi[1])))
         if not (x.shape == y.shape == occ.shape and x.ndim == 1):
             raise ValueError("x, y, occupied must be 1-D arrays of equal length")
@@ -110,13 +115,16 @@ def survey_to_observations(survey: LotSurvey) -> tuple[np.ndarray, np.ndarray]:
     Energy is the squared spot-to-POI distance normalized by the maximum
     distance in the lot, so energies span (0, 1] with the farthest spot
     at exactly 1.  Fill is 1 for an occupied spot, 0 for a vacant one.
+    Energies are computed in place: two n-sized arrays at most, the two returned.
     """
     px, py = survey.poi
-    dist = np.hypot(survey.x - px, survey.y - py)
+    dist = survey.x - px
+    np.hypot(dist, survey.y - py, out=dist)
     max_dist = float(dist.max())
     if max_dist == 0.0:
         raise ValueError("degenerate geometry: all spots coincide with the point of interest")
-    return (dist / max_dist) ** 2, survey.occupied.astype(float)
+    np.divide(dist, max_dist, out=dist)
+    return np.square(dist, out=dist), survey.occupied.astype(float)
 
 
 def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
@@ -252,14 +260,15 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
     energies, fills = survey_to_observations(survey)
     n = len(energies)
     scored = _sorted_observations(energies, fills)
-    sizes = [int(s) for s in sample_sizes]
+    sizes = list(sample_sizes)
     if not sizes:
         raise ValueError("at least one sample size is required")
     for s in sizes:
-        if not 1 <= s <= n:
+        _check_count(s, "sample size")
+        if s > n:
             raise ValueError(f"sample size {s} outside [1, {n}]")
     points = []
-    for size in sizes:
+    for size in map(int, sizes):
         losses = np.empty(trials_per_size)
         for trial in range(trials_per_size):
             rng = np.random.default_rng([seed, size, trial])
@@ -274,18 +283,20 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
 
 def synthetic_survey(num_spots: int, temperature: float, seed: int) -> LotSurvey:
     """A synthetic lot: spots uniform in a disk of radius 100 around a POI at
-    the origin, occupancy drawn per spot from the model at ``temperature``."""
-    if num_spots < 2:
-        raise ValueError("num_spots must be >= 2")
+    the origin, occupancy drawn per spot from the model at ``temperature``.
+    In place, so at most six n-sized float arrays live at once: x, y, the
+    radii (then energies, then draws) and the three the model's q takes."""
+    if not (_is_integer(num_spots) and num_spots >= 2):
+        raise ValueError(f"num_spots must be >= 2 and an integer, got {num_spots!r}")
     poi = (0.0, 0.0)
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, num_spots)
+    x = rng.uniform(0.0, 2.0 * math.pi, num_spots)  # the angles, until cos
     r = 100.0 * np.sqrt(rng.uniform(0.0, 1.0, num_spots))
-    x = poi[0] + r * np.cos(theta)
-    y = poi[1] + r * np.sin(theta)
-    energies = (r / r.max()) ** 2
-    q = spot_occupancy_prob(energies, temperature)
-    occupied = rng.random(num_spots) < q
+    y = poi[1] + r * np.sin(x)
+    x = poi[0] + r * np.cos(x, out=x)
+    r /= r.max()
+    q = spot_occupancy_prob(np.square(r, out=r), temperature)
+    occupied = rng.random(num_spots, out=r) < q
     return LotSurvey(x=x, y=y, occupied=occupied, poi=poi)
 
 
@@ -388,8 +399,11 @@ def load_survey(path) -> LotSurvey:
 
 
 def save_survey(survey: LotSurvey, path) -> None:
-    """Write a survey in the CSV format understood by :func:`load_survey`."""
+    """Write a survey in the CSV format understood by :func:`load_survey`,
+    in blocks of 4096 rows, so the writer's memory does not grow with n."""
     with open(path, "w", newline="") as fh:
         fh.write(f"poi,{survey.poi[0]!r},{survey.poi[1]!r}\n")
-        for x, y, occ in zip(survey.x.tolist(), survey.y.tolist(), survey.occupied.tolist()):
-            fh.write(f"{x!r},{y!r},{1 if occ else 0}\n")
+        columns = (survey.x, survey.y, survey.occupied)
+        for i in range(0, survey.x.size, _SAVE_BLOCK):
+            rows = zip(*(c[i:i + _SAVE_BLOCK].tolist() for c in columns))
+            fh.write("".join([f"{x!r},{y!r},{1 if occ else 0}\n" for x, y, occ in rows]))

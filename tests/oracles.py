@@ -11,10 +11,13 @@ fresh copy of the policy memory, so no memo carries over, the
 garage via a bool grid alone, with no per-floor counts, a sweep's car
 via a scan of every floor in its order on that grid, and the sorted
 observations via one two-key lexsort, and the survey reader via its
-line loop alone, the Newton fit via its two-kernel form, which
-computes q once for the loss and again for the derivatives and may
-stop right after taking a step, and via that form restarted until a
-restart accepts no step, and the floor fill count via ``fractions``.
+line loop alone, the survey writer via one write per row, the
+synthetic lot and a survey's observations via whole-array expressions
+that allocate each step's result, the Newton fit via its two-kernel
+form, which computes q once for the loss and again for the derivatives
+and may stop right after taking a step, and via that form restarted
+until a restart accepts no step, and the floor fill count via
+``fractions``.
 Also here: a gridded survey, whose spot energies tie.
 """
 
@@ -117,6 +120,35 @@ def load_survey_reference(path):
     if len(xs) < 2:
         raise ValueError(f"{path}: survey needs at least 2 spots")
     return LotSurvey(x=np.array(xs), y=np.array(ys), occupied=np.array(occ), poi=poi)
+
+
+def save_survey_reference(survey, path):
+    """A survey CSV written one row at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"poi,{survey.poi[0]!r},{survey.poi[1]!r}\n")
+        for x, y, occ in zip(survey.x.tolist(), survey.y.tolist(), survey.occupied.tolist()):
+            fh.write(f"{x!r},{y!r},{1 if occ else 0}\n")
+
+
+def synthetic_survey_reference(num_spots, temperature, seed):
+    """Spots uniform in a disk of radius 100 around a POI at the origin,
+    occupancy drawn per spot at ``temperature``, from the same draws."""
+    poi = (0.0, 0.0)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi, num_spots)
+    r = 100.0 * np.sqrt(rng.uniform(0.0, 1.0, num_spots))
+    x = poi[0] + r * np.cos(theta)
+    y = poi[1] + r * np.sin(theta)
+    energies = (r / r.max()) ** 2
+    occupied = rng.random(num_spots) < spot_occupancy_prob(energies, temperature)
+    return LotSurvey(x=x, y=y, occupied=occupied, poi=poi)
+
+
+def survey_to_observations_reference(survey):
+    """Squared spot-to-POI distances over the largest one, and 0/1 fills."""
+    px, py = survey.poi
+    dist = np.hypot(survey.x - px, survey.y - py)
+    return (dist / dist.max()) ** 2, survey.occupied.astype(float)
 
 
 def grid_search_temperature(energies, fills, resolution=1e-4, lo=1e-3, hi=10.0, k=1.0):

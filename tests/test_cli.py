@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -503,6 +504,28 @@ class TestFit:
         assert abs(report["temperature"] - 0.5) < 0.2
         on_disk = json.loads((tmp_path / "out" / "fit_report.json").read_text())
         assert on_disk == report
+
+    def test_the_survey_is_dropped_before_the_fit(self, tmp_path, monkeypatch, capsys):
+        # the fit reads only the observations, so the survey's arrays are
+        # not held beside the fit's buffers
+        path = tmp_path / "lot.csv"
+        save_survey(synthetic_survey(105, 0.5, seed=42), path)
+        surveys, held = [], []
+        load_survey, fit_temperature = tipp.cli.load_survey, tipp.cli.fit_temperature
+
+        def load(path):
+            survey = load_survey(path)
+            surveys.append(weakref.ref(survey))
+            return survey
+
+        def fit(*args):
+            held.extend(ref() is not None for ref in surveys)
+            return fit_temperature(*args)
+
+        monkeypatch.setattr(tipp.cli, "load_survey", load)
+        monkeypatch.setattr(tipp.cli, "fit_temperature", fit)
+        assert main(["fit", str(path)]) == 0
+        assert held == [False]
 
     def test_fully_occupied_survey_clamps_hot(self, tmp_path, capsys):
         survey = synthetic_survey(40, 0.5, seed=1)

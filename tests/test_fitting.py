@@ -36,8 +36,11 @@ from oracles import (
     grid_search_temperature,
     grid_survey,
     load_survey_reference,
+    save_survey_reference,
     second_difference,
     sorted_observations_reference,
+    survey_to_observations_reference,
+    synthetic_survey_reference,
 )
 
 # (1 - q(1, 0.5))**2 at high precision
@@ -64,6 +67,36 @@ def noiseless_observations(t_star, energies=None):
 def derivatives_at(t, energies, fills):
     """L' and L'' at ``t`` from the buffers of one evaluation there."""
     return _loss_derivatives(*_evaluate(t, *_sorted_observations(energies, fills))[1])
+
+
+def traced_peak(call):
+    """``call()``'s result and the most memory it held at once, as traced."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# the smallest survey (two spots), one short of a block, a block, one
+# over, and two blocks and one over
+SAVE_BLOCK = fitting._SAVE_BLOCK
+BLOCK_SIZES = [2, SAVE_BLOCK - 1, SAVE_BLOCK, SAVE_BLOCK + 1, 2 * SAVE_BLOCK + 1]
+SURVEY_DRAWS = [(0, 0.1), (1, 0.5), (7, 2.0)]  # (seed, temperature)
+
+
+def reference_surveys():
+    """Synthetic surveys at every block size and draw, each also moved so
+    that its point of interest is nonzero and negative."""
+    for n in BLOCK_SIZES:
+        for seed, t in SURVEY_DRAWS:
+            survey = synthetic_survey(n, t, seed)
+            yield survey
+            poi = (-3.25, -1e3 / 7)
+            yield LotSurvey(x=survey.x + poi[0], y=survey.y + poi[1],
+                            occupied=survey.occupied, poi=poi)
 
 
 def square_survey(occupied):
@@ -107,6 +140,17 @@ class TestSurveyToObservations:
         (e_a, f_a), (e_b, f_b) = survey_to_observations(survey), survey_to_observations(scaled)
         np.testing.assert_allclose(e_a, e_b, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(f_a, f_b)
+
+    def test_matches_the_reference_byte_for_byte(self):
+        for survey in reference_surveys():
+            got = survey_to_observations(survey)
+            for a, b in zip(got, survey_to_observations_reference(survey)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_peak_memory_is_the_two_returned_arrays(self):
+        survey = synthetic_survey(100_000, 0.5, seed=0)
+        (energies, _), peak = traced_peak(lambda: survey_to_observations(survey))
+        assert peak <= 2 * 8 * energies.size + 64 * 1024
 
 
 class TestMseLoss:
@@ -463,12 +507,7 @@ class TestOneEvaluationPerTemperature:
         # the sorted energies and fills, then four n-sized buffers at once:
         # a candidate is evaluated only after the spent buffers are dropped
         energies, fills = survey_to_observations(synthetic_survey(100_000, 0.5, seed=0))
-        tracemalloc.start()
-        try:
-            res = fit_temperature(energies, fills, 0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(lambda: fit_temperature(energies, fills, 0.1))
         assert res.iterations > 0  # candidates were evaluated after derivatives
         assert peak <= 6 * 8 * energies.size + 64 * 1024
 
@@ -509,6 +548,18 @@ class TestSampleEfficiencyCurve:
         survey = synthetic_survey(40, 0.5, seed=3)
         with pytest.raises(ValueError, match="trials_per_size must be >= 1 and an integer"):
             sample_efficiency_curve(survey, [5], trials_per_size=trials, seed=0)
+
+    @pytest.mark.parametrize("sizes", [[2.7], [True], [5, 2.0], [np.float64(3)], [0], [-1]])
+    def test_requires_integer_sample_sizes(self, sizes):
+        survey = synthetic_survey(40, 0.5, seed=3)
+        with pytest.raises(ValueError, match="sample size must be >= 1 and an integer"):
+            sample_efficiency_curve(survey, sizes, trials_per_size=2, seed=0)
+
+    def test_numpy_integer_sizes_are_reported_as_int(self):
+        survey = synthetic_survey(40, 0.5, seed=3)
+        (point,) = sample_efficiency_curve(survey, [np.int64(5)], trials_per_size=2, seed=0)
+        assert type(point.sample_size) is int
+        assert [point] == sample_efficiency_curve(survey, [5], trials_per_size=2, seed=0)
 
     def test_requires_a_sample_size(self):
         survey = synthetic_survey(40, 0.5, seed=3)
@@ -604,6 +655,19 @@ class TestSurveyIO:
         with pytest.raises(ValueError, match="1-D arrays of equal length"):
             LotSurvey(x=[1.0, 2.0], y=[0.0], occupied=[True, False], poi=(0.0, 0.0))
 
+    @pytest.mark.parametrize("flags", [[0.5, 0], [2, 1], [float("nan"), 0], [-1, 0],
+                                       ["1", "0"], [None, 1], [1 + 0j, 0]])
+    def test_occupancy_flags_are_bools_zeros_or_ones(self, flags):
+        with pytest.raises(ValueError, match="occupancy flags must be bools, 0 or 1"):
+            LotSurvey(x=[1.0, 2.0], y=[0.0, 0.0], occupied=flags, poi=(0.0, 0.0))
+
+    @pytest.mark.parametrize("flags", [[True, False], [1, 0], [1.0, -0.0],
+                                       np.array([1, 0], np.uint8)])
+    def test_zero_one_flags_read_as_bools(self, flags):
+        survey = LotSurvey(x=[1.0, 2.0], y=[0.0, 0.0], occupied=flags, poi=(0.0, 0.0))
+        assert survey.occupied.dtype == bool
+        assert survey.occupied.tolist() == [True, False]
+
     @pytest.mark.parametrize("text, line", [
         ("poi,0,0\n1,0,1\nnan,0,0\n", 3),
         ("poi,0,0\n-inf,0,1\n2,0,0\n", 2),
@@ -667,7 +731,8 @@ class TestSurveyIO:
 
         monkeypatch.setattr(fitting, "_bulk_spots", counted)
         path = tmp_path / "lot.csv"
-        for survey in (synthetic_survey(500, 0.5, seed=3), grid_survey(9, 0.5, 0)):
+        for survey in (synthetic_survey(500, 0.5, seed=3), grid_survey(9, 0.5, 0),
+                       synthetic_survey(2 * SAVE_BLOCK + 1, 0.5, seed=4)):
             save_survey(survey, path)
             for text in (path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n")):
                 path.write_bytes(text)
@@ -676,7 +741,7 @@ class TestSurveyIO:
                     array = getattr(loaded, name)
                     assert array.flags.c_contiguous
                     assert array.tobytes() == getattr(survey, name).tobytes()
-        assert accepted == [True] * 4
+        assert accepted == [True] * 6
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_is_read_by_the_line_loop(self, tmp_path, monkeypatch):
@@ -710,6 +775,20 @@ class TestSurveyIO:
         loaded = load_survey(path)
         for name in ("x", "y", "occupied"):
             assert getattr(loaded, name).tobytes() == getattr(survey, name).tobytes()
+
+    def test_block_writer_matches_the_row_writer(self, tmp_path):
+        path, reference = tmp_path / "lot.csv", tmp_path / "reference.csv"
+        for survey in reference_surveys():
+            save_survey(survey, path)
+            save_survey_reference(survey, reference)
+            assert (hashlib.sha256(path.read_bytes()).digest()
+                    == hashlib.sha256(reference.read_bytes()).digest())
+
+    @pytest.mark.parametrize("num_spots", [20_000, 200_000])
+    def test_writer_memory_does_not_grow_with_the_survey(self, tmp_path, num_spots):
+        survey = synthetic_survey(num_spots, 0.5, seed=5)
+        _, peak = traced_peak(lambda: save_survey(survey, tmp_path / "lot.csv"))
+        assert peak < 1024 * 1024
 
     @given(survey_texts())
     @example("poi,0,0\n\n")  # no record after the POI line
@@ -751,6 +830,24 @@ class TestSyntheticSurvey:
         cold = synthetic_survey(400, 0.1, seed=2)
         hot = synthetic_survey(400, 2.0, seed=2)
         assert hot.occupied.mean() > cold.occupied.mean()
+
+    def test_matches_the_reference_byte_for_byte(self):
+        for n in BLOCK_SIZES:
+            for seed, t in SURVEY_DRAWS:
+                got, want = synthetic_survey(n, t, seed), synthetic_survey_reference(n, t, seed)
+                for name in ("x", "y", "occupied"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.poi == want.poi
+
+    def test_peak_memory_is_at_most_seven_spot_arrays(self):
+        n = 100_000
+        _, peak = traced_peak(lambda: synthetic_survey(n, 0.5, seed=0))
+        assert peak <= 7 * 8 * n + 64 * 1024
+
+    @pytest.mark.parametrize("num_spots", [5.0, True, "5", np.float64(3)])
+    def test_num_spots_must_be_an_integer(self, num_spots):
+        with pytest.raises(ValueError, match="num_spots must be >= 2 and an integer"):
+            synthetic_survey(num_spots, 0.5, 0)
 
     def test_energies_cover_unit_interval(self):
         energies, _ = survey_to_observations(synthetic_survey(100, 0.5, seed=6))
