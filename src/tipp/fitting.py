@@ -20,6 +20,11 @@ elsewhere, at most one unit either way, and halves the move until the
 loss strictly drops; T is clamped to [T_MIN, T_MAX].  The starting
 temperature is the fit's only setting.
 
+q always comes from the one kernel, ``model._q``.  A fit of at most
+``_SCALAR_MAX`` observations then reduces on Python floats, where
+numpy's cost per call outweighs its arithmetic, in the numpy path's
+order of correctly rounded operations and sums, so both give the same bits.
+
 Also here: survey ingestion (CSV with one point of interest followed by
 spot rows), reduction of a survey to (energy, fill) observations via
 squared normalized distances, a synthetic-survey generator, and the
@@ -49,6 +54,10 @@ from .model import (
 _RESOLUTION = 1e-9
 #: Most accepted steps before the fit stops.
 _MAX_ITERATIONS = 10_000
+#: Most observations a fit reduces on Python floats once q is computed:
+#: a Newton iteration there cost less than numpy's up to 15 points, and
+#: more from 16 (x86-64, Python 3.11, numpy 2.4).
+_SCALAR_MAX = 14
 #: Spot rows ``save_survey`` formats and writes at a time.
 _SAVE_BLOCK = 4096
 
@@ -169,32 +178,60 @@ def mse_loss(temperature: float, energies, fills) -> float:
     return _evaluate(temperature, *_sorted_observations(energies, fills))[0]
 
 
+def _sum(terms) -> float:
+    """``float(np.add.reduce(terms))`` for a list of at most 128 floats, in
+    numpy's order, so bit for bit: under 8 terms a running sum from +0.0;
+    else eight lanes that each add every eighth term, combined pairwise,
+    then the tail one by one, and the +0.0 identity in front (so -0.0
+    terms sum to +0.0).  ``sum()`` is no substitute: from Python 3.12 it
+    compensates."""
+    end = len(terms) - len(terms) % 8
+    total = 0.0
+    if end:
+        a = terms[:8]
+        for i in range(8, end, 8):
+            a = [u + v for u, v in zip(a, terms[i:i + 8])]
+        total = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
+    for v in terms[end:]:
+        total += v
+    return 0.0 + total
+
+
 def _evaluate(t, energies, fills):
     """``(loss, (x, q, r))`` at T = ``t``: x = E/T (the kernel caps it at
-    700), q and r = q - fill, the three n-sized buffers ``_loss_derivatives``
-    reads.  The kernel itself, not spot_occupancy_prob, on checked
+    700), q and r = q - fill, which ``_loss_derivatives`` reads: three
+    n-sized buffers, or three lists of floats for at most ``_SCALAR_MAX``
+    observations.  The kernel itself, not spot_occupancy_prob, on checked
     observations; the sum and division are np.mean's, minus its call overhead."""
     x = np.divide(energies, t)
     q = _q(x, out=np.empty_like(x))
-    r = q - fills
-    return float(np.add.reduce(r * r)) / r.size, (x, q, r)
+    if x.size > _SCALAR_MAX:
+        r = q - fills
+        return float(np.add.reduce(r * r)) / r.size, (x, q, r)
+    x, q = x.tolist(), q.tolist()
+    r = [a - b for a, b in zip(q, fills.tolist())]
+    return _sum([v * v for v in r]) / len(r), (x, q, r)
 
 
 def _loss_derivatives(x, q, r) -> tuple[float, float]:
     """L' and L'' in u = log T from ``_evaluate``'s buffers at T, which it
-    overwrites, and one more n-sized buffer.  The kernel capped x at 700,
-    so q * x and every other term stay finite for any finite
-    energy (E/T itself may overflow first).  dq/du is 0 where q rounds
-    to 1, as the loss there is flat in T."""
+    overwrites, and one more n-sized buffer, or from its lists, one float
+    at a time in the same order.  The kernel capped x at 700, so q * x and
+    every other term stay finite for any finite energy (E/T itself may
+    overflow first).  dq/du is 0 on the leading run of the sorted points
+    where q rounds to 1, as the loss there is flat in T."""
+    ones = bisect_left(q, True, key=lambda v: v < 1.0) if q[0] == 1.0 else 0
+    if isinstance(q, list):
+        dq = [(v * -0.5 + 1.0) * v * w for v, w in zip(q, x)]  # dq/du = s x
+        dq[:ones] = [0.0] * ones
+        d1 = _sum([a * b for a, b in zip(r, dq)])
+        d2 = _sum([(((1.0 - v) * w - 1.0) * a + b) * b for v, w, a, b in zip(q, x, r, dq)])
+        return 2.0 * d1 / len(r), 2.0 * d2 / len(r)
     dq = q * -0.5
     dq += 1.0
     dq *= q
     dq *= x  # dq/du = s x
-    if q[0] == 1.0:
-        # where x is so small that q rounds to 1, the loss does not move
-        # with T, so those points add nothing to L' or L''; the energies
-        # are sorted, so they are the leading run of q
-        dq[:bisect_left(q, True, key=lambda v: v < 1.0)] = 0.0
+    dq[:ones] = 0.0
     np.subtract(1.0, q, out=q)
     q *= x
     q -= 1.0  # d2q/du2 = dq/du ((1 - q) x - 1)

@@ -138,10 +138,12 @@ def total_time(floors, times: TimeConstants) -> float:
     last floor: t1 per floor scanned, t3 per floor driven in either
     direction, t2 per floor walked back up.  On a descent this is
     n*t1 + a*(t2 + t3)."""
-    if not floors or min(floors) < 1:
-        raise ValueError("an itinerary is a non-empty sequence of floors >= 1")
-    driven = sum(abs(floor - here) for here, floor in zip((0, *floors), floors))
-    return _timed(len(floors), driven, times, floors[-1])
+    if len(floors) == 0 or not all(_is_integer(floor) and floor >= 1 for floor in floors):
+        raise ValueError("an itinerary is a non-empty sequence of floors >= 1, each an "
+                         f"integer, got {floors!r}")
+    stops = [0, *map(int, floors)]  # NumPy integers are timed as Python ints
+    driven = sum(abs(floor - here) for here, floor in zip(stops, stops[1:]))
+    return _timed(len(floors), driven, times, stops[-1])
 
 
 def _timed(scans: int, driven: int, times: TimeConstants, parked: int | None) -> float:

@@ -204,7 +204,8 @@ def descent_fit_reference(energies, fills, start):
     return t, loss
 
 
-def _two_kernel_loss(t, energies, fills):
+def two_kernel_loss(t, energies, fills):
+    """The loss at ``t`` on sorted observations, as one numpy kernel."""
     r = energies / t
     _q(r, out=r)
     r -= fills
@@ -212,7 +213,9 @@ def _two_kernel_loss(t, energies, fills):
     return float(np.add.reduce(r)) / r.size
 
 
-def _two_kernel_derivatives(t, energies, fills):
+def two_kernel_derivatives(t, energies, fills):
+    """L' and L'' at ``t`` on sorted observations, as one numpy kernel that
+    computes its own q and drops dq/du wherever q == 1."""
     x = np.divide(energies, t)
     np.minimum(x, 700.0, out=x)
     q = _q(x, out=np.empty_like(x))
@@ -240,9 +243,9 @@ def fit_two_kernel_reference(energies, fills, initial_temperature, max_iteration
     computed twice at every accepted temperature.  Returns a FitResult."""
     energies, fills = _sorted_observations(energies, fills)
     t = float(initial_temperature)
-    loss = _two_kernel_loss(t, energies, fills)
+    loss = two_kernel_loss(t, energies, fills)
     for iterations in range(max_iterations):
-        d1, d2 = _two_kernel_derivatives(t, energies, fills)
+        d1, d2 = two_kernel_derivatives(t, energies, fills)
         if (t <= T_MIN and d1 > 0) or (t >= T_MAX and d1 < 0):
             return FitResult(t, loss, iterations, "pinned")
         du = -d1 / d2 if d2 > 0 else -math.copysign(1.0, d1)
@@ -250,7 +253,7 @@ def fit_two_kernel_reference(energies, fills, initial_temperature, max_iteration
         du = min(max(du, -1.0), 1.0)
         while True:
             cand = min(max(t * math.exp(du), T_MIN), T_MAX)
-            cand_loss = _two_kernel_loss(cand, energies, fills)
+            cand_loss = two_kernel_loss(cand, energies, fills)
             if cand_loss < loss or abs(du) <= _RESOLUTION:
                 break
             du *= 0.5

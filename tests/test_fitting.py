@@ -1,5 +1,6 @@
 
 import hashlib
+import math
 import os
 import threading
 import tracemalloc
@@ -42,6 +43,8 @@ from oracles import (
     sorted_observations_reference,
     survey_to_observations_reference,
     synthetic_survey_reference,
+    two_kernel_derivatives,
+    two_kernel_loss,
 )
 
 # (1 - q(1, 0.5))**2 at high precision
@@ -56,6 +59,28 @@ POOLED_OBSERVATIONS = st.lists(
               st.one_of(st.sampled_from(FILL_POOL), st.floats(min_value=0.0, max_value=1.0))),
     min_size=1, max_size=30)
 STARTS = st.one_of(st.sampled_from([T_MIN, T_MAX]), st.floats(min_value=T_MIN, max_value=T_MAX))
+
+#: Fits of at most this many observations reduce on Python floats.
+SCALAR_MAX = fitting._SCALAR_MAX
+#: Observation pools for each side of that cut, each led by the point
+#: that a one-observation set keeps: energies above 700 T at T_MIN (and
+#: above the clip), points whose q rounds to 1 (the first two are the
+#: fit that crept to the iteration cap before such points left L''),
+#: and tied energies.
+CUT_POOLS = {
+    "capped": [(8000.0, 0.5), (1e300, 0.0), (0.9, 1.0), (0.3, 0.2), (2 * _ENERGY_CAP, 1.0)],
+    "q_is_one": [(2.967577744255688e-82, 1.0), (0.25, 0.0), (0.0, 0.5), (5e-324, 0.0),
+                 (1e-19, 1.0), (0.7, 0.3)],
+    "tied": [(0.25, 0.0), (0.25, 1.0), (0.25, 0.5), (1.0, 0.3), (1.0, -0.0)],
+}
+
+
+def cut_observations(pool, n):
+    """``n`` observations from ``pool``: each pass over it after the first
+    scales its energies by the pass number, so a tie stays a tie and a
+    q that rounds to 1 still does."""
+    k = len(pool)
+    return np.array([(pool[i % k][0] * (1 + i // k), pool[i % k][1]) for i in range(n)]).T
 
 
 def noiseless_observations(t_star, energies=None):
@@ -180,6 +205,29 @@ class TestMseLoss:
         energies, fills = zip(*pairs)
         want = mse_reference(temperature, pairs)
         assert mse_loss(temperature, energies, fills) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestSum:
+    """``_sum`` is ``np.add.reduce`` on a list, bit for bit: a numpy whose
+    summation order changes fails here first."""
+
+    @staticmethod
+    def vectors(n, rng):
+        mags = 10.0 ** rng.uniform(-8, 8, n) * rng.choice([-1.0, 1.0], n)
+        yield mags
+        yield rng.permutation(np.concatenate([mags, -mags]))[:n]  # cancelling pairs
+        yield rng.choice([5e-324, -5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-300, -1.0], n)
+        yield np.full(n, -0.0)
+        yield rng.choice([0.0, -0.0], n)
+
+    @pytest.mark.parametrize("n", range(1, 2 * SCALAR_MAX + 2))
+    def test_matches_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(40):
+            for v in self.vectors(n, rng):
+                want = float(np.add.reduce(v))
+                got = fitting._sum(v.tolist())
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), v
 
 
 class TestGradient:
@@ -502,6 +550,19 @@ class TestOneEvaluationPerTemperature:
     def test_matches_the_two_kernel_reference(self, pairs, start, cap):
         energies, fills = np.array(pairs).T
         self.assert_matches_reference(energies, fills, start, cap)
+
+    @pytest.mark.parametrize("n", [1, SCALAR_MAX, SCALAR_MAX + 1])
+    @pytest.mark.parametrize("pool", sorted(CUT_POOLS))
+    @pytest.mark.parametrize("start", [T_MIN, 0.5, T_MAX])
+    def test_both_sides_of_the_float_cut_match_the_references(self, n, pool, start):
+        energies, fills = cut_observations(CUT_POOLS[pool], n)
+        ordered = _sorted_observations(energies, fills)
+        assert isinstance(_evaluate(start, *ordered)[1][0], list) == (n <= SCALAR_MAX)
+        self.assert_matches_reference(energies, fills, start, None)
+        for t in (T_MIN, start, 0.0013, T_MAX):
+            assert repr(mse_loss(t, energies, fills)) == repr(two_kernel_loss(t, *ordered))
+            assert repr(derivatives_at(t, energies, fills)) == \
+                repr(two_kernel_derivatives(t, *ordered))
 
     def test_every_stop_matches_the_two_kernel_reference(self):
         rng = np.random.default_rng(31)

@@ -253,10 +253,17 @@ class TestTotalTime:
         assert total_time([2, 5, 7], TIMES) == 195.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            total_time([], TIMES)
-        with pytest.raises(ValueError):
-            total_time([0], TIMES)
+        # a bool, a float or a floor below 1 is no floor, as for every other floor reader
+        for floors in ([], [0], (1.5,), (True, 2), [2, 2.5], (2.0,),
+                       np.array([]), np.array([1.0, 2.0]), np.array([0, 1])):
+            with pytest.raises(ValueError, match="an itinerary is a non-empty sequence of floors"):
+                total_time(floors, TIMES)
+
+    @pytest.mark.parametrize("floors", [(2, 5, 7), np.array([2, 5, 7]),
+                                        [np.int32(2), 5, np.int64(7)]])
+    def test_any_sequence_of_integer_floors_is_timed(self, floors):
+        got = total_time(floors, TIMES)
+        assert type(got) is float and got == 195.0
 
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12, unique=True),
            st.integers(min_value=1, max_value=120),
