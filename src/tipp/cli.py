@@ -30,7 +30,7 @@ from .fitting import (
     sample_efficiency_curve,
     survey_to_observations,
 )
-from .model import _check_temperature
+from .model import _check_temperature, _is_int_in
 from .planner import TimeConstants
 from .simulator import (
     Garage,
@@ -65,12 +65,12 @@ class ScenarioConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if self.num_levels < 1 or self.capacity_per_level < 1:
-            raise ValueError("garage dimensions must be >= 1")
-        if self.num_cars < 1:
-            raise ValueError("num_cars must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, value, lo in (("garage dimensions", self.num_levels, 1),
+                                ("garage dimensions", self.capacity_per_level, 1),
+                                ("num_cars", self.num_cars, 1), ("seed", self.seed, 0)):
+            if not _is_int_in(value, lo):  # an integer out of range reads as the flag's error
+                detail = "" if _is_int_in(value) else f" and an integer, got {value!r}"
+                raise ValueError(f"{name} must be >= {lo}{detail}")
         if not 0.0 <= self.departure_prob <= 1.0:
             raise ValueError("departure_prob must lie in [0, 1]")
         _check_temperature(self.temperature, "temperature")

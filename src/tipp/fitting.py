@@ -44,7 +44,6 @@ from .model import (
     T_MIN,
     _check_count,
     _check_temperature,
-    _is_integer,
     _q,
     spot_occupancy_prob,
 )
@@ -157,13 +156,13 @@ def _sorted_observations(energies, fills) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("energies and fills must be 1-D arrays of equal length")
     if e.size == 0:
         raise ValueError("observations must be non-empty")
-    hi = e.max()
-    if not (e.min() >= 0 and hi < math.inf):  # NaN fails both
+    order = e.argsort()
+    e = e[order]
+    hi = e[-1]
+    if not (e[0] >= 0 and hi < math.inf):  # the sort puts -inf first and NaN last
         raise ValueError("energies must be finite and non-negative")
     if not (f.min() >= 0 and f.max() <= 1):
         raise ValueError("fills must lie in [0, 1]")
-    order = e.argsort()
-    e = e[order]
     if np.count_nonzero(e[1:] == e[:-1]):
         sub = np.lexsort((f[order], e))
         order, e = order[sub], e[sub]
@@ -322,8 +321,7 @@ def synthetic_survey(num_spots: int, temperature: float, seed: int) -> LotSurvey
     the origin, occupancy drawn per spot from the model at ``temperature``.
     In place, so at most four n-sized float arrays live at once: x, y, the
     radii (then energies, then draws) and q (34n bytes traced at 100k spots)."""
-    if not (_is_integer(num_spots) and num_spots >= 2):
-        raise ValueError(f"num_spots must be >= 2 and an integer, got {num_spots!r}")
+    _check_count(num_spots, "num_spots", 2)
     poi = (0.0, 0.0)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2.0 * math.pi, num_spots)  # the angles, until cos

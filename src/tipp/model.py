@@ -42,15 +42,18 @@ def _check_temperature(value, name: str) -> None:
         raise ValueError(f"{name} {value} outside domain [{T_MIN}, {T_MAX}]")
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or NumPy integer; a bool is none."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_int_in(value, lo=-math.inf, hi=math.inf) -> bool:
+    """The one integer rule: a Python or NumPy integer, never a bool, in
+    [lo, hi].  A Python int, every hot caller's floor, passes on its type."""
+    kind = type(value)
+    return ((kind is int or kind is not bool and isinstance(value, (int, np.integer)))
+            and lo <= value <= hi)
 
 
-def _check_count(value, name: str) -> None:
-    """Reject a count of floors, spots or cars that is not an integer >= 1."""
-    if not (_is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+def _check_count(value, name: str, lo: int = 1) -> None:
+    """Reject a count of floors, spots or cars that is not an integer >= ``lo``."""
+    if not _is_int_in(value, lo):
+        raise ValueError(f"{name} must be >= {lo} and an integer, got {value!r}")
 
 
 def _q(x, out=None):

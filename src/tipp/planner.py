@@ -31,7 +31,7 @@ from .fitting import fit_temperature
 from .model import (
     _check_count,
     _check_temperature,
-    _is_integer,
+    _is_int_in,
     level_availability_prob,
     level_energies,
     spot_occupancy_prob,
@@ -67,12 +67,12 @@ class DpSolution:
     entrance_value: float
 
     def value(self, floor: int) -> float:
-        if not (_is_integer(floor) and 1 <= floor <= self.values.size):
+        if not _is_int_in(floor, 1, self.values.size):
             raise ValueError(f"floor {floor!r} is not an integer in [1, {self.values.size}]")
         return float(self.values[floor - 1])
 
     def action(self, floor: int) -> int:
-        if not (_is_integer(floor) and 0 <= floor < self.values.size):
+        if not _is_int_in(floor, 0, self.values.size - 1):
             raise ValueError(f"no action from floor {floor!r}: not an integer in "
                              f"[0, {self.values.size - 1}]")
         return int(self.actions[floor])
@@ -138,7 +138,7 @@ def total_time(floors, times: TimeConstants) -> float:
     last floor: t1 per floor scanned, t3 per floor driven in either
     direction, t2 per floor walked back up.  On a descent this is
     n*t1 + a*(t2 + t3)."""
-    if len(floors) == 0 or not all(_is_integer(floor) and floor >= 1 for floor in floors):
+    if len(floors) == 0 or not all(_is_int_in(floor, 1) for floor in floors):
         raise ValueError("an itinerary is a non-empty sequence of floors >= 1, each an "
                          f"integer, got {floors!r}")
     stops = [0, *map(int, floors)]  # NumPy integers are timed as Python ints
@@ -152,11 +152,6 @@ def _timed(scans: int, driven: int, times: TimeConstants, parked: int | None) ->
     car (None) walks nowhere."""
     elapsed = scans * times.t1 + driven * times.t3
     return elapsed if parked is None else elapsed + parked * times.t2
-
-
-def _check_floor_type(floor) -> None:
-    if not _is_integer(floor):
-        raise ValueError(f"observed floors must be integers, got {floor!r}")
 
 
 @dataclass
@@ -179,9 +174,9 @@ class TippState:
     def __post_init__(self):
         _check_temperature(self.temperature_estimate, "temperature_estimate")
         for floor, fill in self.floor_observations.items():
-            _check_floor_type(floor)
-            if floor < 1:
-                raise ValueError(f"observed floors must be >= 1, got {floor!r}")
+            if not _is_int_in(floor, 1):
+                rule = "be >= 1" if _is_int_in(floor) else "be integers"
+                raise ValueError(f"observed floors must {rule}, got {floor!r}")
             if not 0.0 <= fill <= 1.0:
                 raise ValueError(f"observed fills must lie in [0, 1], got {fill!r} "
                                  f"on floor {floor!r}")
@@ -212,16 +207,15 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     put in place of a planned ``4`` (or ``1``) is served as that floor.
     """
     _check_count(num_levels, "num_levels")  # the first error on every path, memo hit or miss
-    if not (type(capacity_per_level) is int and capacity_per_level >= 1):  # int: fast path
-        _check_count(capacity_per_level, "capacity")
+    _check_count(capacity_per_level, "capacity")
     temperature = state.temperature_estimate
     observations = state.floor_observations
     # dicts compare without regard to order, as the fit sorts its points
     if observations and state._fit_memo != (observations, temperature, num_levels):
         for floor in observations:  # each on its own: True is no index, 2.0 neither
-            _check_floor_type(floor)
-            if not 1 <= floor <= num_levels:
-                raise ValueError(f"observed floors must lie in [1, {num_levels}], got {floor!r}")
+            if not _is_int_in(floor, 1, num_levels):
+                rule = f"lie in [1, {num_levels}]" if _is_int_in(floor) else "be integers"
+                raise ValueError(f"observed floors must {rule}, got {floor!r}")
         energies = level_energies(num_levels)[np.array(list(observations)) - 1]
         fit = fit_temperature(energies, list(observations.values()), temperature)
         temperature = fit.temperature

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import _check_count, _is_integer, level_energies, level_fill_count, spot_occupancy_prob
+from .model import _check_count, _is_int_in, level_energies, level_fill_count, spot_occupancy_prob
 from .planner import TimeConstants, TippState, _timed, plan_parking
 
 
@@ -167,8 +167,7 @@ class Garage:
         return int(vacate.size)
 
     def _check_floor(self, floor: int) -> None:
-        # a Python int, every caller's floor, skips the general integer check
-        if not ((type(floor) is int or _is_integer(floor)) and 1 <= floor <= self.num_levels):
+        if not _is_int_in(floor, 1, self.num_levels):
             raise ValueError(f"floor {floor!r} is not an integer in [1, {self.num_levels}]")
 
 

@@ -465,6 +465,28 @@ def test_negative_seed_is_usage_error_before_any_output(tmp_path, capsys, verb):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("num_levels", 2.5, "garage dimensions must be >= 1 and an integer, got 2.5"),
+    ("capacity_per_level", np.float64(30.0),
+     "garage dimensions must be >= 1 and an integer, got np.float64(30.0)"),
+    ("num_cars", True, "num_cars must be >= 1 and an integer, got True"),
+    ("seed", 1.5, "seed must be >= 0 and an integer, got 1.5"),
+    ("seed", True, "seed must be >= 0 and an integer, got True"),
+    ("num_levels", np.int64(3), None),
+    ("seed", np.int32(2), None),
+], ids=["num_levels-2.5", "capacity-float64", "num_cars-True", "seed-1.5", "seed-True",
+        "num_levels-int64", "seed-int32"])
+def test_scenario_counts_and_seed_are_checked_at_construction(name, value, message):
+    # unchecked, a float or bool count or seed fails only later, in the
+    # simulator or numpy, or (seed=True) runs as seed 1
+    if message is None:
+        assert getattr(ScenarioConfig(**{name: value}), name) == value
+        return
+    with pytest.raises(ValueError) as error:
+        ScenarioConfig(**{name: value})
+    assert str(error.value) == message
+
+
 RUN_ONLY_FLAGS = ["--num-cars", "--departure-prob", "--policies", "--t1", "--t2", "--t3"]
 
 

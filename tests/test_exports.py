@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import types
 from collections import Counter
@@ -22,6 +23,28 @@ def test_public_exports_are_pinned():
         "ArrivalOutcome", "Garage", "PolicyKind", "render_ppm", "render_text", "run_arrival",
         "run_policy_sequence", "write_outcomes_csv",
     }
+
+
+def own_integer_tests(source: str) -> list[int]:
+    """Lines of ``source`` that test ``np.integer`` or ``type(x) is int`` themselves."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "integer"
+                or isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(isinstance(side, ast.Name) and side.id == "int"
+                        for side in (node.left, *node.comparators))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_integer_rule_lives_only_in_model():
+    # every floor, count and seed check goes through model._is_int_in, so a
+    # module that tests integer types itself has grown a second rule
+    assert own_integer_tests("ok = np.integer\nkind is int") == [1, 2]
+    found = {path.name: own_integer_tests(path.read_text())
+             for path in Path(tipp.__file__).parent.glob("*.py") if path.name != "model.py"}
+    assert found and not any(found.values()), found
 
 
 def test_every_bench_patch_point_resolves():

@@ -486,6 +486,9 @@ class TestObservation:
             fit_temperature(energies, fills)
         with pytest.raises(ValueError, match="energies must be finite and non-negative"):
             mse_loss(0.5, energies, fills)
+        fills[2 - where] = bad  # bad in both: the energies are named
+        with pytest.raises(ValueError, match="energies must be finite and non-negative"):
+            fit_temperature(energies, fills)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.01])
     @pytest.mark.parametrize("where", [0, 2])

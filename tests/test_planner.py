@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -90,10 +91,16 @@ class TestSolveDp:
         with pytest.raises(ValueError) as exc:
             sol.value(2.0)
         assert str(exc.value) == "floor 2.0 is not an integer in [1, 10]"
-        for floor in (10, -1, 2.0):
+        for floor in (True, np.float64(2.0)):
+            with pytest.raises(ValueError) as exc:
+                sol.value(floor)
+            assert str(exc.value) == f"floor {floor!r} is not an integer in [1, 10]"
+        for floor in (10, -1, 2.0, True, np.float64(2.0)):
             with pytest.raises(ValueError) as exc:
                 sol.action(floor)
             assert str(exc.value) == f"no action from floor {floor!r}: not an integer in [0, 9]"
+        for kind in (np.int32, np.int64):  # a NumPy integer is the floor it holds
+            assert sol.value(kind(2)) == sol.value(2) and sol.action(kind(2)) == sol.action(2)
 
     def test_two_floor_worked_example_high_availability(self):
         sol = solve_dp([0.9, 0.7], TIMES)
@@ -254,7 +261,7 @@ class TestTotalTime:
 
     def test_validation(self):
         # a bool, a float or a floor below 1 is no floor, as for every other floor reader
-        for floors in ([], [0], (1.5,), (True, 2), [2, 2.5], (2.0,),
+        for floors in ([], [0], (1.5,), (True, 2), [True], [2, 2.5], (2.0,), (np.float64(2.0),),
                        np.array([]), np.array([1.0, 2.0]), np.array([0, 1])):
             with pytest.raises(ValueError, match="an itinerary is a non-empty sequence of floors"):
                 total_time(floors, TIMES)
@@ -316,7 +323,8 @@ class TestObserveFloor:
         with pytest.raises(ValueError, match=r"observed floors must lie in \[1, 10\]"):
             plan_parking(state, 0, 10, 30, TIMES)
 
-    @pytest.mark.parametrize("floor", [1.5, 2.0, True])
+    @pytest.mark.parametrize("floor", [1.5, 2.0, pytest.param(np.float64(2.0), id="float64"),
+                                       True])
     def test_rejects_a_floor_that_is_not_an_integer(self, floor):
         # a float, even 2.0, is no index into the floor energies, nor is
         # True, whatever the other floors are
@@ -383,8 +391,9 @@ class TestTippDecide:
             assert state._fit_memo is memos[0] and state._plan_memo is memos[1]
         state = TippState()
         plan_parking(state, 0, 10, 2, TIMES)
-        assert plan_parking(state, 0, 10, np.int64(2), TIMES) == plan_parking(
-            TippState(), 0, 10, 2, TIMES)
+        for kind in (np.int32, np.int64):
+            assert plan_parking(state, 0, 10, kind(2), TIMES) == plan_parking(
+                TippState(), 0, 10, 2, TIMES)
 
     def _availability(self, temperature):
         q = spot_occupancy_prob(level_energies(10), temperature)
@@ -429,14 +438,15 @@ class TestTippDecide:
         assert self._availability(state.temperature_estimate).min() > 0.8
 
     def test_full_from_floor_still_descends(self):
-        for floor in (1, 4, 9):
+        for floor in (1, 4, 9, np.int32(4), np.int64(9)):  # a NumPy integer plans as an int
             state = TippState(temperature_estimate=0.5, floor_observations={floor: 1.0})
-            assert plan_parking(state, floor, 10, 30, TIMES) > floor
+            assert plan_parking(state, floor, 10, 30, TIMES) == plan_parking(
+                TippState(0.5, {int(floor): 1.0}), int(floor), 10, 30, TIMES) > floor
 
     def test_exhausted_at_bottom(self):
         # no floor lies below the deepest one, so there is no plan from it
-        for from_floor in (10, 11, True, 1.0):  # and no floor that is not an integer
-            with pytest.raises(ValueError, match=f"no action from floor {from_floor}"):
+        for from_floor in (10, 11, True, 1.0, 2.0, np.float64(2.0)):  # nor a non-integer
+            with pytest.raises(ValueError, match=re.escape(f"no action from floor {from_floor!r}")):
                 plan_parking(TippState(temperature_estimate=0.5), from_floor, 10, 30, TIMES)
 
     def test_rejects_a_floor_above_the_entrance(self):

@@ -127,7 +127,10 @@ class TestScanAndPark:
             garage.scan_and_park(3)
 
     @pytest.mark.parametrize("call,floor", [
-        ("scan_and_park", True), ("scan_and_park", 1.0), ("level_fill_fraction", 1.5),
+        ("scan_and_park", True), ("scan_and_park", 1.0), ("scan_and_park", 2.0),
+        pytest.param("scan_and_park", np.float64(2.0), id="scan_and_park-float64"),
+        ("level_fill_fraction", True), ("level_fill_fraction", 1.5),
+        pytest.param("level_fill_fraction", 2.0, id="level_fill_fraction-python2.0"),
         ("level_fill_fraction", np.float64(2.0)),
     ])
     def test_a_floor_that_is_no_integer_is_rejected(self, call, floor):
@@ -135,7 +138,11 @@ class TestScanAndPark:
         with pytest.raises(ValueError, match=re.escape(f"floor {floor!r} is not an integer "
                                                        "in [1, 3]")):
             getattr(garage, call)(floor)
-        assert garage.level_fill_fraction(np.int64(3)) == garage.level_fill_fraction(3)
+        for kind in (np.int32, np.int64):  # a NumPy integer is the floor it holds
+            assert garage.level_fill_fraction(kind(3)) == garage.level_fill_fraction(3)
+            twin = copy.deepcopy(garage)
+            assert garage.scan_and_park(kind(2)) == twin.scan_and_park(2)
+            assert (garage.occupancy == twin.occupancy).all()
 
 
 class TestRenewal:
