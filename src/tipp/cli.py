@@ -50,8 +50,8 @@ ALL_POLICIES = tuple(PolicyKind)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One simulation scenario; defaults match the reference experiment
-    (10 levels x 30 spots, temperature 0.5, 30 sequential cars)."""
+    """One scenario, which parses its own policies and times; defaults match
+    the reference experiment (10 levels x 30 spots, temperature 0.5, 30 cars)."""
 
     num_levels: int = 10
     capacity_per_level: int = 30
@@ -65,6 +65,9 @@ class ScenarioConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
+        object.__setattr__(self, "policies", _parse_policies(self.policies))
+        if isinstance(self.times, dict):
+            object.__setattr__(self, "times", TimeConstants(**self.times))
         for name, value, lo in (("garage dimensions", self.num_levels, 1),
                                 ("garage dimensions", self.capacity_per_level, 1),
                                 ("num_cars", self.num_cars, 1), ("seed", self.seed, 0)):
@@ -132,8 +135,6 @@ def _read_fields(path, data: dict, schema, prefix: str = "") -> dict:
             for item in value if isinstance(value, list) else ():
                 _check_type(path, name, item, str)
         try:
-            if kind is tuple:
-                data[key] = _parse_policies(value)
             schema(**{key: data[key]})
         except ValueError as exc:
             raise ValueError(f"{path}: config field {name!r}: {exc}") from None
@@ -153,10 +154,8 @@ def build_config(args) -> ScenarioConfig:
     data = _load_config_file(args.config) if args.config else {}
     given = {k: v for k, v in vars(args).items() if v is not None}
     flags = {f.name: given[f.name] for f in fields(ScenarioConfig) if f.name in given}
-    if "policies" in flags:
-        flags["policies"] = _parse_policies(flags["policies"])
     time_flags = {f.name: given[f.name] for f in fields(TimeConstants) if f.name in given}
-    times = TimeConstants(**{**data.pop("times", {}), **time_flags})
+    times = {**data.pop("times", {}), **time_flags}
     return ScenarioConfig(**{**data, **flags, "times": times})
 
 

@@ -292,6 +292,7 @@ def sample_efficiency_curve(survey: LotSurvey, sample_sizes, trials_per_size: in
     full-lot MSE of the subset fits, each started at ``initial_temperature``.
     """
     _check_count(trials_per_size, "trials_per_size")
+    _check_count(seed, "seed", 0)
     energies, fills = survey_to_observations(survey)
     n = len(energies)
     scored = _sorted_observations(energies, fills)
@@ -322,6 +323,7 @@ def synthetic_survey(num_spots: int, temperature: float, seed: int) -> LotSurvey
     In place, so at most four n-sized float arrays live at once: x, y, the
     radii (then energies, then draws) and q (34n bytes traced at 100k spots)."""
     _check_count(num_spots, "num_spots", 2)
+    _check_count(seed, "seed", 0)
     poi = (0.0, 0.0)
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 2.0 * math.pi, num_spots)  # the angles, until cos

@@ -51,7 +51,7 @@ def _is_int_in(value, lo=-math.inf, hi=math.inf) -> bool:
 
 
 def _check_count(value, name: str, lo: int = 1) -> None:
-    """Reject a count of floors, spots or cars that is not an integer >= ``lo``."""
+    """Reject a count of floors, spots or cars, or a seed, not an integer >= ``lo``."""
     if not _is_int_in(value, lo):
         raise ValueError(f"{name} must be >= {lo} and an integer, got {value!r}")
 

@@ -173,9 +173,13 @@ class TippState:
 
     def __post_init__(self):
         _check_temperature(self.temperature_estimate, "temperature_estimate")
-        for floor, fill in self.floor_observations.items():
-            if not _is_int_in(floor, 1):
-                rule = "be >= 1" if _is_int_in(floor) else "be integers"
+        self._check_observations()
+
+    def _check_observations(self, num_levels: int | None = None) -> None:
+        for floor, fill in self.floor_observations.items():  # True is no index, 2.0 neither
+            if not _is_int_in(floor, 1, num_levels or math.inf):
+                bound = f"lie in [1, {num_levels}]" if num_levels else "be >= 1"
+                rule = bound if _is_int_in(floor) else "be integers"
                 raise ValueError(f"observed floors must {rule}, got {floor!r}")
             if not 0.0 <= fill <= 1.0:
                 raise ValueError(f"observed fills must lie in [0, 1], got {fill!r} "
@@ -189,8 +193,8 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     else a ValueError) in a garage of ``num_levels`` floors of
     ``capacity_per_level`` spots each, integers >= 1 checked ahead of the memos.
 
-    If fills have been observed, on floors in [1, N] that are Python
-    or NumPy integers (not bool), the temperature is refitted on
+    If fills have been observed, each an integer floor in [1, N] with a
+    fill in [0, 1] (``TippState``'s rule), the temperature is refitted on
     {(E(k), fill_k)} from ``state.temperature_estimate`` and, if the call
     succeeds, becomes the new estimate; otherwise the estimate is kept.
     The fit and q read the same floor energies, ``level_energies(N)``,
@@ -212,10 +216,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     observations = state.floor_observations
     # dicts compare without regard to order, as the fit sorts its points
     if observations and state._fit_memo != (observations, temperature, num_levels):
-        for floor in observations:  # each on its own: True is no index, 2.0 neither
-            if not _is_int_in(floor, 1, num_levels):
-                rule = f"lie in [1, {num_levels}]" if _is_int_in(floor) else "be integers"
-                raise ValueError(f"observed floors must {rule}, got {floor!r}")
+        state._check_observations(num_levels)
         energies = level_energies(num_levels)[np.array(list(observations)) - 1]
         fit = fit_temperature(energies, list(observations.values()), temperature)
         temperature = fit.temperature

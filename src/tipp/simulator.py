@@ -73,6 +73,7 @@ class Garage:
     def __init__(self, num_levels: int, capacity_per_level: int, seed: int = 0):
         _check_count(num_levels, "num_levels")
         _check_count(capacity_per_level, "capacity_per_level")
+        _check_count(seed, "seed", 0)
         self.num_levels = int(num_levels)
         self.capacity_per_level = int(capacity_per_level)
         self.occupancy = np.zeros((num_levels, capacity_per_level), dtype=bool)

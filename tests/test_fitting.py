@@ -925,6 +925,17 @@ class TestSyntheticSurvey:
         with pytest.raises(ValueError, match="num_spots must be >= 2 and an integer"):
             synthetic_survey(num_spots, 0.5, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_goes_through_the_integer_rule(self, seed):
+        # unchecked, numpy rejects 1.5 and -1 in its own words and runs True as seed 1
+        survey = synthetic_survey(40, 0.5, np.int64(3))
+        assert survey.occupied.tobytes() == synthetic_survey(40, 0.5, 3).occupied.tobytes()
+        for call in (lambda: synthetic_survey(40, 0.5, seed),
+                     lambda: sample_efficiency_curve(survey, [5], 2, seed)):
+            with pytest.raises(ValueError) as error:
+                call()
+            assert str(error.value) == f"seed must be >= 0 and an integer, got {seed!r}"
+
     def test_energies_cover_unit_interval(self):
         energies, _ = survey_to_observations(synthetic_survey(100, 0.5, seed=6))
         assert energies.max() == 1.0

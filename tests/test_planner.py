@@ -346,10 +346,11 @@ class TestObserveFloor:
     (False, 11, 0.5, "observed floors must lie in [1, 10], got 11"),
     (False, -3, 0.5, "observed floors must lie in [1, 10], got -3"),
     (False, True, 0.5, "observed floors must be integers, got True"),
+    (False, 3, 1.5, "observed fills must lie in [0, 1], got 1.5 on floor 3"),
 ])
 def test_errors_name_the_offending_floor_or_fill(at_build, floor, fill, message):
-    # TippState checks its entries when built; plan_parking checks the
-    # floors against the garage's N (10 here), those added later too
+    # TippState checks its entries when built; plan_parking checks them
+    # again, the floors against the garage's N (10 here), those added later too
     with pytest.raises(ValueError) as error:
         if at_build:
             TippState(floor_observations={floor: fill})

@@ -98,6 +98,17 @@ class TestInitFromTemperature:
         with pytest.raises(ValueError, match="num_levels must be >= 1 and an integer"):
             Garage.from_temperature(2.0, 30, 0.5)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_goes_through_the_integer_rule(self, seed):
+        # unchecked, numpy rejects 1.5 and -1 in its own words and runs True as seed 1
+        built = Garage.from_temperature(3, 4, 0.5, seed=np.int64(2))
+        assert np.array_equal(built.occupancy, Garage.from_temperature(3, 4, 0.5, seed=2).occupancy)
+        for build in (lambda: Garage(3, 4, seed), lambda: Garage.from_temperature(3, 4, 0.5, seed),
+                      lambda: Garage.from_occupancy(np.zeros((2, 2)), seed)):
+            with pytest.raises(ValueError) as error:
+                build()
+            assert str(error.value) == f"seed must be >= 0 and an integer, got {seed!r}"
+
 
 class TestScanAndPark:
     def test_full_floor_returns_none_and_leaves_grid_alone(self):
