@@ -175,10 +175,9 @@ class TippState:
         _check_temperature(self.temperature_estimate, "temperature_estimate")
         self._check_observations()
 
-    def _check_observations(self, num_levels: int | None = None) -> None:
-        for floor, fill in self.floor_observations.items():  # True is no index, 2.0 neither
-            if not _is_int_in(floor, 1, num_levels or math.inf):
-                bound = f"lie in [1, {num_levels}]" if num_levels else "be >= 1"
+    def _check_observations(self, num_levels=math.inf, bound: str = "be >= 1") -> None:
+        for floor, fill in self.floor_observations.items():
+            if not _is_int_in(floor, 1, num_levels):  # each on its own: True is no index, 2.0 neither
                 rule = bound if _is_int_in(floor) else "be integers"
                 raise ValueError(f"observed floors must {rule}, got {floor!r}")
             if not 0.0 <= fill <= 1.0:
@@ -216,7 +215,7 @@ def plan_parking(state: TippState, from_floor: int, num_levels: int,
     observations = state.floor_observations
     # dicts compare without regard to order, as the fit sorts its points
     if observations and state._fit_memo != (observations, temperature, num_levels):
-        state._check_observations(num_levels)
+        state._check_observations(num_levels, f"lie in [1, {num_levels}]")
         energies = level_energies(num_levels)[np.array(list(observations)) - 1]
         fit = fit_temperature(energies, list(observations.values()), temperature)
         temperature = fit.temperature
