@@ -67,6 +67,9 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "policies", _parse_policies(self.policies))
         if isinstance(self.times, dict):
+            for key in self.times:
+                if key not in TimeConstants.__dataclass_fields__:
+                    raise ValueError(f"times has no field {key!r}")
             object.__setattr__(self, "times", TimeConstants(**self.times))
         for name, value, lo in (("garage dimensions", self.num_levels, 1),
                                 ("garage dimensions", self.capacity_per_level, 1),
@@ -74,7 +77,11 @@ class ScenarioConfig:
             if not _is_int_in(value, lo):  # an integer out of range reads as the flag's error
                 detail = "" if _is_int_in(value) else f" and an integer, got {value!r}"
                 raise ValueError(f"{name} must be >= {lo}{detail}")
-        if not 0.0 <= self.departure_prob <= 1.0:
+        try:  # a str or None is no probability; a bool is refused as one
+            valid = type(self.departure_prob) is not bool and 0.0 <= self.departure_prob <= 1.0
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError("departure_prob must lie in [0, 1]")
         _check_temperature(self.temperature, "temperature")
         _check_temperature(self.initial_temperature, "initial_temperature")

@@ -37,8 +37,15 @@ _ENERGY_CAP = 700.0 * T_MAX
 
 
 def _check_temperature(value, name: str) -> None:
-    """Reject a temperature outside [T_MIN, T_MAX]; NaN and +-inf fail too."""
-    if not T_MIN <= value <= T_MAX:
+    """Reject a temperature outside [T_MIN, T_MAX]; NaN and +-inf fail too,
+    and so do a bool and a value that no float compares with, such as a str."""
+    try:
+        inside = T_MIN <= value <= T_MAX
+    except TypeError:
+        inside = None
+    if inside is None or type(value) is bool:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not inside:
         raise ValueError(f"{name} {value} outside domain [{T_MIN}, {T_MAX}]")
 
 

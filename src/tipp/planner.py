@@ -49,7 +49,11 @@ class TimeConstants:
     def __post_init__(self):
         for name in ("t1", "t2", "t3"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            try:  # a str or None is no number; a bool is refused as one
+                valid = type(v) is not bool and math.isfinite(v) and v > 0
+            except TypeError:
+                valid = False
+            if not valid:
                 raise ValueError(f"{name} must be a positive finite number")
 
 
@@ -180,7 +184,11 @@ class TippState:
             if not _is_int_in(floor, 1, num_levels):  # each on its own: True is no index, 2.0 neither
                 rule = bound if _is_int_in(floor) else "be integers"
                 raise ValueError(f"observed floors must {rule}, got {floor!r}")
-            if not 0.0 <= fill <= 1.0:
+            try:
+                valid = 0.0 <= fill <= 1.0
+            except TypeError:  # a str or None: no fill
+                valid = False
+            if not valid:
                 raise ValueError(f"observed fills must lie in [0, 1], got {fill!r} "
                                  f"on floor {floor!r}")
 

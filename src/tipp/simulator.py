@@ -39,13 +39,15 @@ class PolicyKind(str, Enum):
     TIPP = "tipp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrivalOutcome:
     """One car's journey: floors visited, where it parked (None for a
     stranded car, whose policy ran out of floors), elapsed seconds.
 
     ``floors_scanned`` is a tuple of Python ints, as :func:`run_arrival`
-    builds it; :func:`write_outcomes_csv` relies on that (see there)."""
+    builds it; :func:`write_outcomes_csv` relies on that (see there).  A
+    sweep car's tuple is its garage's one for that policy and last floor,
+    so outcomes of one garage may hold the same object; it is immutable."""
 
     car_index: int
     floors_scanned: tuple
@@ -61,14 +63,15 @@ class Garage:
     ``occupancy`` is the one record of which spots are taken.  ``free``
     holds each floor's free-spot count, derived from it and kept in step
     by this class's own methods, so callers must not write ``occupancy``
-    directly.
+    directly.  ``_itineraries`` maps (policy, last floor) to the one tuple
+    of floors that every sweep car of the garage ending there shares.
     """
 
     # slots, not an instance dict: a deep copy (one per extra policy of a
     # lockstep run) then keeps the attribute reads of the scan and renewal
     # loops as fast as on a garage built directly
     __slots__ = ("num_levels", "capacity_per_level", "occupancy", "free", "rng",
-                 "init_temperature")
+                 "init_temperature", "_itineraries")
 
     def __init__(self, num_levels: int, capacity_per_level: int, seed: int = 0):
         _check_count(num_levels, "num_levels")
@@ -80,6 +83,7 @@ class Garage:
         self.free = np.full(num_levels, self.capacity_per_level)
         self.rng = np.random.default_rng(seed)
         self.init_temperature: float | None = None
+        self._itineraries = {}
 
     @classmethod
     def from_temperature(cls, num_levels: int, capacity_per_level: int,
@@ -210,13 +214,16 @@ def run_arrival(garage: Garage, policy: PolicyKind, times: TimeConstants | None 
         n, levels = garage.num_levels, garage.free.nonzero()[0]
         if policy is PolicyKind.BENCHMARK:
             a = int(levels[0]) + 1 if levels.size else n
-            scanned, driven = tuple(range(1, a + 1)), a
+            floors, driven = range(1, a + 1), a
         elif policy is PolicyKind.INVERSE:
             a = int(levels[-1]) + 1 if levels.size else 1
-            scanned, driven = tuple(range(n, a - 1, -1)), 2 * n - a
-        else:
-            scanned = (int(levels[0]) + 1,) if levels.size else ()
-            driven = sum(scanned)
+            floors, driven = range(n, a - 1, -1), 2 * n - a
+        else:  # optimal; a = 0 when the garage is full: no floor to try
+            a = int(levels[0]) + 1 if levels.size else 0
+            floors, driven = (a,) if a else (), a
+        scanned = garage._itineraries.get((policy, a))
+        if scanned is None:
+            scanned = garage._itineraries[policy, a] = tuple(floors)
         spot = garage.scan_and_park(scanned[-1]) if levels.size else None
     parked = None if spot is None else scanned[-1]  # None: stranded
     elapsed = _timed(len(scanned), driven, times, parked)
@@ -248,12 +255,12 @@ def _run_lockstep(garage: Garage, policies, num_cars: int, times: TimeConstants,
     """Run every policy on its own copy of ``garage``, car by car, all in step.
 
     The first policy runs on ``garage`` itself, and each other one on a
-    deep copy, generator included, made before the first car.  Each car
-    arrives under every policy in turn; then one renewal step, drawn by
-    ``garage``, vacates the same spots in every copy.  So each policy
-    meets the departures that a separate :func:`run_policy_sequence` run
-    on its own copy would draw, while the draw is made once.  Returns
-    each policy's outcomes.
+    deep copy, generator and itinerary memo included (empty on a garage as
+    built), made before the first car.  Each car arrives under every
+    policy in turn; then one renewal step, drawn by ``garage``, vacates
+    the same spots in every copy.  So each policy meets the departures
+    that a separate :func:`run_policy_sequence` run on its own copy would
+    draw, while the draw is made once.  Returns each policy's outcomes.
     """
     _check_count(num_cars, "num_cars")
     if not 0.0 <= departure_prob <= 1.0:  # NaN fails too

@@ -482,14 +482,23 @@ def test_negative_seed_is_usage_error_before_any_output(tmp_path, capsys, verb):
     ("policies", ["benchmark"], (tipp.PolicyKind.BENCHMARK,)),
     ("times", {"t2": 0}, "t2 must be a positive finite number"),
     ("times", {"t1": 60.0}, TimeConstants(t1=60.0)),
+    ("times", {"t9": 1}, "times has no field 't9'"),
+    ("times", {"t1": "a"}, "t1 must be a positive finite number"),
+    ("times", {"t1": True}, "t1 must be a positive finite number"),
+    ("temperature", "0.5", "temperature must be a number, got '0.5'"),
+    ("temperature", True, "temperature must be a number, got True"),
+    ("departure_prob", "x", "departure_prob must lie in [0, 1]"),
+    ("departure_prob", True, "departure_prob must lie in [0, 1]"),
 ], ids=["num_levels-2.5", "capacity-float64", "num_cars-True", "seed-1.5", "seed-True",
         "num_levels-int64", "seed-int32", "policies-duplicate", "policies-empty",
         "policies-comma-string", "policies-unknown", "policies-string", "policies-list",
-        "times-bad-dict", "times-dict"])
+        "times-bad-dict", "times-dict", "times-unknown-key", "times-str", "times-True",
+        "temperature-str", "temperature-True", "departure_prob-str", "departure_prob-True"])
 def test_scenario_counts_and_seed_are_checked_at_construction(name, value, outcome):
     # unchecked, a float or bool count or seed fails only later, in the
     # simulator or numpy, or (seed=True) runs as seed 1; the schema parses
-    # its policies and times itself, so a library caller gets the CLI's errors
+    # its policies and times itself, so a library caller gets the CLI's errors;
+    # a number of the wrong type is a ValueError that names its field too
     if not isinstance(outcome, str):  # accepted: the field as the schema holds it
         assert getattr(ScenarioConfig(**{name: value}), name) == outcome
         return

@@ -170,6 +170,16 @@ class TestEntropyParams:
         with pytest.raises(ValueError, match="^temperature_estimate" + domain):
             TippState(temperature_estimate=t)
 
+    @pytest.mark.parametrize("t", ["0.5", None, True, 1j])
+    def test_rejects_a_temperature_that_is_no_number(self, t):
+        # a str or None would fail the domain's comparison with a TypeError,
+        # and a bool would pass it as 1 or 0
+        message = re.escape(f" must be a number, got {t!r}") + "$"
+        with pytest.raises(ValueError, match="^temperature" + message):
+            spot_occupancy_prob(0.5, t)
+        with pytest.raises(ValueError, match="^temperature_estimate" + message):
+            TippState(temperature_estimate=t)
+
     def test_domain_bounds_are_allowed(self):
         for t in (T_MIN, T_MAX):
             assert spot_occupancy_prob(0.5, t) > 0.0

@@ -63,9 +63,13 @@ class TestTimeConstants:
         times = TimeConstants()
         assert times.t3 < times.t1
 
-    @pytest.mark.parametrize("kw", [{"t1": 0.0}, {"t2": -1.0}, {"t3": float("nan")}])
+    # a str or None is no number, and a bool is refused as one, as the
+    # integer rule refuses it as a count
+    @pytest.mark.parametrize("kw", [{"t1": 0.0}, {"t2": -1.0}, {"t3": float("nan")},
+                                    {"t1": "a"}, {"t2": None}, {"t1": True}])
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"^{name} must be a positive finite number$"):
             TimeConstants(**kw)
 
 
@@ -347,6 +351,10 @@ class TestObserveFloor:
     (False, -3, 0.5, "observed floors must lie in [1, 10], got -3"),
     (False, True, 0.5, "observed floors must be integers, got True"),
     (False, 3, 1.5, "observed fills must lie in [0, 1], got 1.5 on floor 3"),
+    # a fill that no float compares with is named, not a TypeError
+    (True, 3, "x", "observed fills must lie in [0, 1], got 'x' on floor 3"),
+    (True, 3, None, "observed fills must lie in [0, 1], got None on floor 3"),
+    (False, 2, "x", "observed fills must lie in [0, 1], got 'x' on floor 2"),
 ])
 def test_errors_name_the_offending_floor_or_fill(at_build, floor, fill, message):
     # TippState checks its entries when built; plan_parking checks them

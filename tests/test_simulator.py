@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -307,6 +309,29 @@ class TestRunArrival:
             assert floors[-1] == 3 and list(floors) == sorted(set(floors))
         assert garage.occupancy.all()
 
+    def test_an_outcome_holds_no_instance_dict_and_stays_frozen(self):
+        outcome, _ = run_arrival(single_free_spot_garage(floor=4), PolicyKind.BENCHMARK, TIMES)
+        assert not hasattr(outcome, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.parked_floor = 5
+
+    def test_each_policy_keeps_its_own_itinerary_to_a_shared_floor(self):
+        # every car of the three sweeps parks on floor 1; a second round's
+        # cars share the first round's tuples, each its own policy's
+        occ = np.ones((5, 6), dtype=bool)
+        occ[0] = False
+        garage = Garage.from_occupancy(occ)
+        sweeps = (PolicyKind.BENCHMARK, PolicyKind.INVERSE, PolicyKind.OPTIMAL)
+        rounds = [[run_arrival(garage, policy, TIMES)[0].floors_scanned for policy in sweeps]
+                  for _ in range(2)]
+        assert rounds[0] == [(1,), (5, 4, 3, 2, 1), (1,)]
+        assert all(later is first for first, later in zip(*rounds))
+        # a stranded car drives the full sweep, the tuple of a car parked at its end
+        garage = single_free_spot_garage(floor=10)
+        parked, stranded = (run_arrival(garage, PolicyKind.BENCHMARK, TIMES)[0]
+                            for _ in range(2))
+        assert stranded.parked_floor is None and stranded.floors_scanned is parked.floors_scanned
+
     def test_descending_policies_report_strictly_increasing_floors(self):
         for policy in (PolicyKind.BENCHMARK, PolicyKind.OPTIMAL, PolicyKind.TIPP):
             garage = Garage.from_temperature(10, 30, 0.5, seed=3)
@@ -447,6 +472,24 @@ class TestRunPolicySequence:
         path = tmp_path / "percar.csv"
         write_outcomes_csv(path, policy, outcomes)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_a_sweep_cars_memory_does_not_grow_with_the_garage_height(self):
+        # traced bytes held per outcome of 2000 benchmark cars, whose mean
+        # itinerary is 3.9 floors at N = 10 and 33.7 at N = 100; a tuple
+        # per car held 1.9 times as much at N = 100, a tuple per floor ~1.1
+        held = []
+        for n in (10, 100):
+            garage = Garage.from_temperature(n, 20, 0.5, 0)
+            departure_prob = 1.0 / sum(level_counts(garage))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                outcomes = run_policy_sequence(garage, PolicyKind.BENCHMARK, 2000,
+                                               departure_prob=departure_prob)
+                held.append((tracemalloc.get_traced_memory()[0] - before) / len(outcomes))
+            finally:
+                tracemalloc.stop()
+        assert held[1] < 1.4 * held[0]
 
     def test_tipp_estimate_evolves_across_cars(self):
         garage = Garage.from_temperature(10, 30, 0.5, seed=0)
@@ -610,6 +653,22 @@ class TestLockstep:
                                     num_cars=num_cars, times=TIMES, policies=tuple(policies),
                                     seed=seed, departure_prob=departure_prob)
             assert [run[1] for run in _run_policies(config)] == expected
+
+    def test_sweep_cars_share_their_garage_itineraries(self):
+        # a sweep car's floors are a tuple its own garage keeps per (policy,
+        # floor): every car of a policy that ends on one floor holds that
+        # one object, so a policy holds at most N of them however many cars
+        n = 20
+        garage = Garage.from_temperature(n, 10, 0.5, seed=1)
+        sweeps = [PolicyKind.BENCHMARK, PolicyKind.INVERSE, PolicyKind.OPTIMAL]
+        runs = _run_lockstep(garage, sweeps, 400, TIMES, 1.0 / sum(level_counts(garage)))
+        for policy, outcomes in zip(sweeps, runs):
+            by_floor = {}
+            for outcome in outcomes:
+                first = by_floor.setdefault(outcome.floors_scanned[-1], outcome.floors_scanned)
+                assert outcome.floors_scanned is first, (policy, outcome)
+            assert len(by_floor) > 1 and len(outcomes) > 2 * len(by_floor), policy
+            assert len({id(outcome.floors_scanned) for outcome in outcomes}) <= n, policy
 
     def test_copies_vacate_what_the_drawing_garage_draws(self):
         full = np.ones((3, 4), dtype=bool)
